@@ -390,6 +390,8 @@ func (a *Advisor) EvaluateOn(w *workload.Workload, config []*Candidate) (noIdx, 
 // EvaluateDefs is EvaluateOn for an arbitrary index-definition
 // configuration — the hook the public facade uses to cost
 // configurations that arrived as DTOs (possibly from another process).
+// Each call binds a what-if scope of its own, so definitions decoded
+// from requests never accumulate in a session's relevance memo.
 func (a *Advisor) EvaluateDefs(ctx context.Context, w *workload.Workload, defs []*catalog.IndexDef) (noIdx, withIdx float64, err error) {
 	if err := a.ensureFreshCosts(w); err != nil {
 		return 0, 0, err

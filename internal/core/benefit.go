@@ -30,8 +30,9 @@ type evaluator struct {
 	bound *whatif.Bound
 	// baseCost[qi] is the document-scan cost of query qi.
 	baseCost []float64
-	// insertDocs caches, per update index, the parsed sample document.
-	insertDocs []*xmldoc.Document
+	// insertDocs caches, per update index, the nodes of the update's
+	// sample document (nil for non-insert updates).
+	insertDocs [][]docNode
 
 	// entryMu guards the memoized per-(update, candidate) state behind
 	// updateCost, shared across concurrent evals: entryCount holds
@@ -70,15 +71,15 @@ func (a *Advisor) newEvaluator(ctx context.Context, w *workload.Workload) (*eval
 		ev.baseCost = append(ev.baseCost, qe.CostNoIndexes)
 	}
 	for _, u := range w.Updates {
-		var d *xmldoc.Document
+		var nodes []docNode
 		if u.Kind == workload.UpdateInsert {
-			var err error
-			d, err = xmldoc.ParseString(u.DocXML)
+			d, err := xmldoc.ParseString(u.DocXML)
 			if err != nil {
 				return nil, fmt.Errorf("core: update document: %w", err)
 			}
+			nodes = docNodes(d)
 		}
-		ev.insertDocs = append(ev.insertDocs, d)
+		ev.insertDocs = append(ev.insertDocs, nodes)
 	}
 	return ev, nil
 }
@@ -307,25 +308,41 @@ func docScope(p pattern.Pattern) pattern.Pattern {
 	return p.Prefix(1)
 }
 
-// docEntriesFor counts the index entries document d would contribute to
-// candidate c — exact maintenance work for an insert of d.
-func docEntriesFor(d *xmldoc.Document, c *Candidate) int {
-	m := pattern.InternedMatcher(c.Pattern)
-	n := 0
+// docNode is one node of an insert document with the symbol word of
+// its rooted path, parsed once per document instead of once per
+// candidate.
+type docNode struct {
+	word []pattern.Sym
+	node *xmldoc.Node
+}
+
+// docNodes lists every node of d whose rooted path parses, in document
+// order, with its word.
+func docNodes(d *xmldoc.Document) []docNode {
+	nodes := []docNode{}
 	d.Walk(func(nd *xmldoc.Node) bool {
-		var raw string
-		switch nd.Kind {
-		case xmldoc.KindElement:
-			raw = nd.Text()
-		default:
-			raw = nd.Value
-		}
-		if m.MatchPath(nd.RootPath()) {
-			if _, ok := sqltype.Cast(c.Type, raw); ok {
-				n++
-			}
+		if word, err := pattern.ParseWord(nd.RootPath()); err == nil {
+			nodes = append(nodes, docNode{word: word, node: nd})
 		}
 		return true
 	})
+	return nodes
+}
+
+// docEntriesFor counts the index entries an insert document (its
+// docNodes) would contribute to candidate c — exact maintenance work
+// for the insert. A node's value is read only when c's pattern matches
+// it.
+func docEntriesFor(nodes []docNode, c *Candidate) int {
+	m := pattern.InternedMatcher(c.Pattern)
+	n := 0
+	for _, dn := range nodes {
+		if !m.MatchWord(dn.word) {
+			continue
+		}
+		if _, ok := sqltype.Cast(c.Type, dn.node.Text()); ok {
+			n++
+		}
+	}
 	return n
 }

@@ -275,7 +275,9 @@ func typeForLeg(leg querylang.Leg) (sqltype.Type, bool) {
 // bestAccess returns the cheapest index access for the leg, if any index
 // applies. This is the index-matching routine the Enumerate Indexes mode
 // reuses: an index applies iff its SQL type matches the leg and its
-// pattern contains the leg pattern.
+// pattern contains the leg pattern. Equally cheap accesses are decided
+// by the lower index name, so the plan does not depend on the order the
+// configuration lists its indexes in.
 func (o *Optimizer) bestAccess(st *stats.Stats, leg querylang.Leg, indexes []*catalog.IndexDef) (LegAccess, bool) {
 	typ, ok := typeForLeg(leg)
 	if !ok {
@@ -291,7 +293,7 @@ func (o *Optimizer) bestAccess(st *stats.Stats, leg querylang.Leg, indexes []*ca
 			continue
 		}
 		acc := o.costAccess(st, leg, def, typ)
-		if !found || acc.Cost < best.Cost {
+		if !found || acc.Cost < best.Cost || (acc.Cost == best.Cost && def.Name < best.Index.Name) {
 			best = acc
 			found = true
 		}

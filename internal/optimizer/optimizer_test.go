@@ -335,3 +335,48 @@ func TestCostScalesWithData(t *testing.T) {
 		t.Errorf("doc scan cost should grow with data: %f vs %f", pb.DocScanCost, ps.DocScanCost)
 	}
 }
+
+// TestEquallyCheapIndexesTieBreakByName checks that when several indexes
+// give the same cheapest access, the plan picks the one with the lower
+// name whatever order the configuration lists them in. A cached plan
+// must not depend on which caller's configuration order filled it.
+func TestEquallyCheapIndexesTieBreakByName(t *testing.T) {
+	cat := newFixture(t, 300)
+	o := New(cat)
+	st, _ := cat.Stats("items")
+	q := mustQuery(t, `for $i in collection("items")/site/regions/namerica/item where $i/price = 7 return $i`)
+	for _, pats := range [][2]string{
+		{"/site/regions/*/item/price", "/site/regions/*/item/price"},
+		{"/site/regions/*/item/price", "//price"},
+	} {
+		b := catalog.VirtualDef("B", "items", pattern.MustParse(pats[0]), sqltype.Double, st)
+		a := catalog.VirtualDef("A", "items", pattern.MustParse(pats[1]), sqltype.Double, st)
+		var costs []float64
+		for _, cfg := range [][]*catalog.IndexDef{{b, a}, {a, b}} {
+			plan, err := o.Optimize(q, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := plan.IndexNames(); len(got) != 1 || got[0] != "A" {
+				t.Errorf("%s vs %s, order %s,%s: plan uses %v, want [A]; plan: %s",
+					pats[0], pats[1], cfg[0].Name, cfg[1].Name, got, plan.Describe())
+			}
+			costs = append(costs, plan.Cost)
+		}
+		if costs[0] != costs[1] {
+			t.Errorf("%s vs %s: cost depends on order: %v", pats[0], pats[1], costs)
+		}
+		var leg querylang.Leg
+		for _, l := range q.Legs() {
+			if l.Op == sqltype.Eq {
+				leg = l
+			}
+		}
+		accA, okA := o.bestAccess(st, leg, []*catalog.IndexDef{a})
+		accB, okB := o.bestAccess(st, leg, []*catalog.IndexDef{b})
+		if !okA || !okB || accA.Cost != accB.Cost {
+			t.Fatalf("%s vs %s: accesses are not a tie (%v %v, %v %v); the test checks nothing",
+				pats[0], pats[1], accA.Cost, okA, accB.Cost, okB)
+		}
+	}
+}

@@ -1,6 +1,8 @@
 package optimizer
 
 import (
+	"sync"
+
 	"repro/internal/catalog"
 	"repro/internal/pattern"
 	"repro/internal/querylang"
@@ -25,9 +27,12 @@ type legSig struct {
 // rejects from a configuration is provably cost-preserving: the plan,
 // its cost, and its index set are identical with or without them.
 //
-// The predicate is safe for concurrent use and cheap (a few cached
-// containment probes per definition); the leg signatures are computed
-// once up front.
+// The predicate is safe for concurrent use. The leg signatures are
+// computed once up front, and the answer is memoized per definition: a
+// search asks about the same candidates for every configuration it
+// evaluates, so the containment kernel is probed once per definition.
+// The memo lives as long as the predicate (the what-if scope that bound
+// it) and assumes a definition's pattern and type do not change.
 func RelevantFilter(q *querylang.Query) func(*catalog.IndexDef) bool {
 	var sigs []legSig
 	seen := map[string]bool{}
@@ -46,12 +51,19 @@ func RelevantFilter(q *querylang.Query) func(*catalog.IndexDef) bool {
 		seen[key] = true
 		sigs = append(sigs, legSig{pat: leg.Pattern, typ: typ})
 	}
+	var memo sync.Map // *catalog.IndexDef -> bool
 	return func(def *catalog.IndexDef) bool {
+		if v, ok := memo.Load(def); ok {
+			return v.(bool)
+		}
+		rel := false
 		for _, s := range sigs {
 			if def.Type == s.typ && pattern.ContainsCached(def.Pattern, s.pat) {
-				return true
+				rel = true
+				break
 			}
 		}
-		return false
+		memo.Store(def, rel)
+		return rel
 	}
 }

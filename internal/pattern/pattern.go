@@ -135,9 +135,7 @@ func Parse(s string) (Pattern, error) {
 			return Pattern{}, fmt.Errorf("pattern %q: %s step must be last", orig, st)
 		}
 	}
-	p := Pattern{Steps: steps}
-	p.str = p.render()
-	return p, nil
+	return FromSteps(steps), nil
 }
 
 func parseStep(tok string) (Step, error) {
@@ -205,7 +203,20 @@ func (p Pattern) render() string {
 	return sb.String()
 }
 
-// String returns the canonical textual form of the pattern.
+// FromSteps returns the pattern with the given steps and its canonical
+// form precomputed, so the result interns and memoizes without
+// re-rendering. Steps is used as is, not copied: the caller must not
+// change it afterwards, nor append to it while other patterns share its
+// backing array.
+func FromSteps(steps []Step) Pattern {
+	p := Pattern{Steps: steps}
+	p.str = p.render()
+	return p
+}
+
+// String returns the canonical textual form of the pattern. Patterns
+// built by Parse, FromSteps and the derivations in this package carry it
+// precomputed; a composite literal renders it on every call.
 func (p Pattern) String() string {
 	if p.str == "" && len(p.Steps) > 0 {
 		p.str = p.render()
@@ -252,9 +263,7 @@ func (p Pattern) Clone() Pattern {
 // re-rendering. It panics if n exceeds p's length; Prefix(0) is the
 // zero pattern.
 func (p Pattern) Prefix(n int) Pattern {
-	q := Pattern{Steps: p.Steps[:n:n]}
-	q.str = q.render()
-	return q
+	return FromSteps(p.Steps[:n:n])
 }
 
 // WithStep returns a copy of p whose i-th step is replaced by st.

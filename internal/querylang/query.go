@@ -117,9 +117,12 @@ func (q *Query) Legs() []Leg {
 			return
 		}
 		// Normalize: an element's indexed value is its text, so a leg
-		// on .../text() is served by an index on the parent element.
-		if last := l.Pattern.Last(); last.Kind == pattern.TestText && l.Pattern.Len() > 1 {
-			l.Pattern = pattern.Pattern{Steps: l.Pattern.Steps[:l.Pattern.Len()-1]}
+		// on .../text() is served by an index on the parent element. The
+		// full slice expression caps the trimmed steps, so appending to
+		// them copies instead of overwriting the text() step that
+		// another pattern's canonical string still spells.
+		if n := l.Pattern.Len(); n > 1 && l.Pattern.Last().Kind == pattern.TestText {
+			l.Pattern = pattern.FromSteps(l.Pattern.Steps[: n-1 : n-1])
 		}
 		k := l.Key()
 		if !seen[k] {
@@ -168,7 +171,7 @@ func (lc *legCollector) collectPath(e *xpath.PathExpr, prefix pattern.Pattern, d
 	steps = append(steps, prefix.Steps...)
 	for _, st := range e.Steps {
 		steps = append(steps, pattern.Step{Axis: st.Axis, Kind: st.Kind, Name: st.Name})
-		cur := pattern.Pattern{Steps: append([]pattern.Step(nil), steps...)}
+		cur := pattern.FromSteps(append([]pattern.Step(nil), steps...))
 		for _, pr := range st.Preds {
 			lc.collectBool(pr, cur, disjunct, group)
 		}

@@ -84,18 +84,30 @@ var dateLayouts = []string{"2006-01-02", "2006-01-02T15:04:05", "2006/01/02"}
 // does not convert (e.g. "abc" AS DOUBLE) — such nodes simply do not
 // appear in an index of that type, mirroring DB2's REJECT INVALID VALUES
 // behaviour.
+//
+// Most XML values are plain text, so both typed casts fail far more
+// often than they succeed. Text that cannot parse is rejected on its
+// shape before the parsers run, because a failed strconv.ParseFloat or
+// time.Parse allocates its error value.
 func Cast(t Type, raw string) (Value, bool) {
 	switch t {
 	case Varchar:
 		return Value{Type: Varchar, S: raw}, true
 	case Double:
-		f, err := strconv.ParseFloat(strings.TrimSpace(raw), 64)
+		s := strings.TrimSpace(raw)
+		if !mayBeFloat(s) {
+			return Value{}, false
+		}
+		f, err := strconv.ParseFloat(s, 64)
 		if err != nil {
 			return Value{}, false
 		}
 		return Value{Type: Double, F: f}, true
 	case Date:
 		s := strings.TrimSpace(raw)
+		if !mayBeDate(s) {
+			return Value{}, false
+		}
 		for _, layout := range dateLayouts {
 			if tm, err := time.Parse(layout, s); err == nil {
 				return Value{Type: Date, F: float64(tm.Unix()) / 86400.0}, true
@@ -104,6 +116,20 @@ func Cast(t Type, raw string) (Value, bool) {
 		return Value{}, false
 	}
 	return Value{}, false
+}
+
+// mayBeFloat reports whether strconv.ParseFloat could accept s: every
+// accepted spelling starts with a digit, a sign, a decimal point, or
+// the first letter of "inf", "infinity" or "nan" (in any case).
+func mayBeFloat(s string) bool {
+	return s != "" && strings.IndexByte("0123456789+-.iInN", s[0]) >= 0
+}
+
+// mayBeDate reports whether some layout in dateLayouts could accept s:
+// each starts with a four-digit year and a '-' or '/' separator and is
+// at least ten bytes long.
+func mayBeDate(s string) bool {
+	return len(s) >= 10 && (s[4] == '-' || s[4] == '/')
 }
 
 // String renders the value for display.

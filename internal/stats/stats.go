@@ -89,6 +89,11 @@ func (ps *PathStat) CountForType(t sqltype.Type) int64 {
 	return 0
 }
 
+// cast is the value cast RUNSTATS applies; tests swap in a reference
+// implementation to check that the statistics do not depend on how the
+// cast is computed.
+var cast = sqltype.Cast
+
 func (ps *PathStat) addValue(raw string, rng *rand.Rand) {
 	raw = strings.TrimSpace(raw)
 	if raw == "" {
@@ -114,7 +119,7 @@ func (ps *PathStat) addValue(raw string, rng *rand.Rand) {
 			ps.distinctOverflow = true
 		}
 	}
-	if v, ok := sqltype.Cast(sqltype.Double, raw); ok {
+	if v, ok := cast(sqltype.Double, raw); ok {
 		ps.NumericCount++
 		if ps.NumericCount == 1 || v.F < ps.MinNum {
 			ps.MinNum = v.F
@@ -124,7 +129,7 @@ func (ps *PathStat) addValue(raw string, rng *rand.Rand) {
 		}
 		reservoirAdd(&ps.numSample, v.F, ps.seen, rng)
 	}
-	if _, ok := sqltype.Cast(sqltype.Date, raw); ok {
+	if _, ok := cast(sqltype.Date, raw); ok {
 		ps.DateCount++
 	}
 	reservoirAdd(&ps.strSample, raw, ps.seen, rng)
@@ -179,8 +184,19 @@ type Stats struct {
 
 	Paths map[string]*PathStat
 
+	// byPath lists every path in sorted order with its parsed word, so
+	// matching a pattern neither sorts nor parses paths again.
+	byPath []pathWord
+
 	mu         sync.Mutex
 	matchCache map[string][]*PathStat
+}
+
+// pathWord is one rooted path of the snapshot and its symbol word (nil
+// when the path does not parse, so no pattern matches it).
+type pathWord struct {
+	ps   *PathStat
+	word []pattern.Sym
 }
 
 // Collect walks every document of the collection once and builds the
@@ -205,6 +221,12 @@ func Collect(c *store.Collection) *Stats {
 		}
 		return true
 	})
+	paths := s.PathList()
+	s.byPath = make([]pathWord, len(paths))
+	for i, path := range paths {
+		word, _ := pattern.ParseWord(path)
+		s.byPath[i] = pathWord{ps: s.Paths[path], word: word}
+	}
 	return s
 }
 
@@ -261,9 +283,9 @@ func (s *Stats) Matching(p pattern.Pattern) []*PathStat {
 
 	m := pattern.InternedMatcher(p)
 	var out []*PathStat
-	for _, path := range s.PathList() {
-		if m.MatchPath(path) {
-			out = append(out, s.Paths[path])
+	for _, pw := range s.byPath {
+		if pw.word != nil && m.MatchWord(pw.word) {
+			out = append(out, pw.ps)
 		}
 	}
 	s.mu.Lock()
