@@ -120,7 +120,7 @@ func (a *Advisor) Degraded() bool {
 
 // Strategy is the advisor's default search strategy (canonical name),
 // used by requests that do not name one.
-func (a *Advisor) Strategy() string { return a.cfg.core.Search.String() }
+func (a *Advisor) Strategy() string { return a.cfg.core.Strategy }
 
 // BudgetPages is the advisor's default disk budget (0 = unlimited),
 // used by requests that do not carry one.
@@ -165,7 +165,7 @@ func (a *Advisor) Recommend(ctx context.Context, w *Workload, req RecommendReque
 	}
 	ctx, cancel := a.requestContext(ctx, req)
 	defer cancel()
-	rec, prep, err := a.core.RecommendFull(ctx, w, core.SearchKind(strategy), budgetPages, nil)
+	rec, prep, err := a.core.RecommendFull(ctx, w, strategy, budgetPages, nil)
 	if err != nil {
 		return nil, err
 	}

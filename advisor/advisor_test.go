@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"sync"
@@ -47,14 +48,14 @@ func maskRuntime(report string) string {
 
 // TestFacadeParity pins the facade to the core pipeline: on the
 // xmark/tpox/paper workloads, recommendations served through the public
-// advisor package are byte-identical to core.Advisor output —
-// same DDL, same per-query analysis, same benefits.
+// advisor package are identical to core.Advisor output — same DDL,
+// same candidate space, same per-query analysis, same benefits.
 func TestFacadeParity(t *testing.T) {
 	env, workloads := testWorkloads(t)
 	ctx := context.Background()
 	for name, w := range workloads {
 		t.Run(name, func(t *testing.T) {
-			coreRec, err := core.New(catalog.New(env.Store), core.DefaultOptions()).Recommend(w)
+			coreRec, _, err := core.New(catalog.New(env.Store), core.DefaultOptions()).RecommendFull(ctx, w, "", 0, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -69,8 +70,22 @@ func TestFacadeParity(t *testing.T) {
 			if got, want := resp.DDL(), coreRec.DDL; !reflect.DeepEqual(got, want) {
 				t.Errorf("DDL mismatch:\nfacade: %v\ncore:   %v", got, want)
 			}
-			if got, want := maskRuntime(resp.Report()), maskRuntime(coreRec.Report()); got != want {
-				t.Errorf("report mismatch:\nfacade:\n%s\ncore:\n%s", got, want)
+			gotSpace := [4]int{resp.Candidates.Basics, resp.Candidates.Total, resp.Candidates.DAGEdges, resp.Candidates.DAGRoots}
+			wantSpace := [4]int{len(coreRec.Basics), len(coreRec.DAG.Nodes), coreRec.DAG.Edges(), len(coreRec.DAG.Roots)}
+			if gotSpace != wantSpace {
+				t.Errorf("candidate space (basics, total, edges, roots): facade %v, core %v", gotSpace, wantSpace)
+			}
+			gotSums := [4]float64{float64(resp.TotalPages), resp.QueryBenefit, resp.UpdateCost, resp.NetBenefit}
+			wantSums := [4]float64{float64(coreRec.TotalPages), coreRec.QueryBenefit, coreRec.UpdateCost, coreRec.NetBenefit}
+			if gotSums != wantSums {
+				t.Errorf("pages, query benefit, update cost, net: facade %v, core %v", gotSums, wantSums)
+			}
+			perQuery := make([]core.QueryAnalysis, len(resp.PerQuery))
+			for i, qc := range resp.PerQuery {
+				perQuery[i] = core.QueryAnalysis(qc)
+			}
+			if !reflect.DeepEqual(perQuery, coreRec.PerQuery) {
+				t.Errorf("per-query analysis mismatch:\nfacade: %+v\ncore:   %+v", perQuery, coreRec.PerQuery)
 			}
 		})
 	}
@@ -167,6 +182,50 @@ func TestUnlimitedBudgetRequest(t *testing.T) {
 	}
 	if unlimited.BudgetPages != 0 {
 		t.Errorf("unlimited response reports budget %d", unlimited.BudgetPages)
+	}
+}
+
+// TestBudgetKBConversion pins the KB-to-pages conversion on both entry
+// points, WithBudgetKB and RecommendRequest.BudgetKB: any positive
+// budget is at least one page, and budgets near the int64 limit convert
+// without overflowing into a tiny budget.
+func TestBudgetKBConversion(t *testing.T) {
+	env, workloads := testWorkloads(t)
+	ctx := context.Background()
+	adv, err := advisor.New(catalog.New(env.Store))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := adv.Open(ctx, workloads["paper"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	for _, tc := range []struct {
+		kb, pages int64
+	}{
+		{1, 1},
+		{4, 1},
+		{256, 64},
+		{1 << 53, 1 << 51},
+		{math.MaxInt64, math.MaxInt64 / 4},
+	} {
+		t.Run(fmt.Sprint(tc.kb), func(t *testing.T) {
+			opt, err := advisor.New(catalog.New(env.Store), advisor.WithBudgetKB(tc.kb))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := opt.BudgetPages(); got != tc.pages {
+				t.Errorf("WithBudgetKB(%d): %d pages, want %d", tc.kb, got, tc.pages)
+			}
+			resp, err := sess.Recommend(ctx, advisor.RecommendRequest{BudgetKB: tc.kb})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.BudgetPages != tc.pages {
+				t.Errorf("BudgetKB %d: %d pages, want %d", tc.kb, resp.BudgetPages, tc.pages)
+			}
+		})
 	}
 }
 

@@ -80,7 +80,7 @@ func budgetKBToPages(kb int64) int64 {
 	if kb <= 0 {
 		return kb
 	}
-	pages := (kb * 1024) / store.DefaultPageSize
+	pages := kb / (store.DefaultPageSize / 1024)
 	if pages < 1 {
 		pages = 1
 	}
@@ -91,7 +91,7 @@ func budgetKBToPages(kb int64) int64 {
 // ("greedy-heuristic", "topdown", "race", ...); individual requests may
 // override it. See Strategies for the valid names.
 func WithStrategy(name string) Option {
-	return func(c *config) { c.core.Search = core.SearchKind(name) }
+	return func(c *config) { c.core.Strategy = name }
 }
 
 // WithGeneralize toggles the candidate generalization phase (§2.2).
@@ -138,18 +138,6 @@ func WithSyntacticEnumeration(on bool) Option {
 	}
 }
 
-// WithIncludeUniversal adds the universal patterns (//* and //@*) as
-// DAG roots.
-func WithIncludeUniversal(on bool) Option {
-	return func(c *config) { c.core.IncludeUniversal = on }
-}
-
-// WithRelaxAxes enables the optional axis-relaxation rule
-// (/a/b -> /a//b).
-func WithRelaxAxes(on bool) Option {
-	return func(c *config) { c.core.RelaxAxes = on }
-}
-
 // WithParallelism bounds concurrent what-if query evaluations (0 =
 // GOMAXPROCS). Recommendations are identical at every worker count.
 func WithParallelism(n int) Option {
@@ -160,17 +148,6 @@ func WithParallelism(n int) Option {
 // (0 = GOMAXPROCS). The candidate set is identical at every level.
 func WithGenParallelism(n int) Option {
 	return func(c *config) { c.core.GenParallelism = n }
-}
-
-// WithProjection toggles the what-if engine's relevance projection
-// (default on): evaluation atoms are keyed and costed per (query,
-// relevant sub-config), so configurations differing only in definitions
-// irrelevant to a query share that query's cached cost. Projection is
-// cost-preserving — recommendations are byte-identical either way —
-// and off exists only as the measured baseline for the projection's
-// what-if call reduction (CacheStats.Evaluations).
-func WithProjection(on bool) Option {
-	return func(c *config) { c.core.NoProjection = !on }
 }
 
 // WithCacheShards sets the what-if cache shard count (0 = default).
@@ -200,52 +177,6 @@ func WithDeadline(d time.Duration) Option {
 // callers that put deadlines on the context themselves.
 func WithAnytime(on bool) Option {
 	return func(c *config) { c.core.Anytime = on }
-}
-
-// WithEagerGreedy forces the greedy-heuristic strategy's original eager
-// marginal scan (re-evaluate the whole eligible prefix every round)
-// instead of the default lazy-greedy heap. Both modes choose identical
-// configurations; eager exists as the measured baseline for the lazy
-// path's what-if call reduction (SearchStats.Evals).
-func WithEagerGreedy(on bool) Option {
-	return func(c *config) { c.core.EagerGreedy = on }
-}
-
-// WithCostBoundedRace makes the race portfolio cost-bounded: members
-// publish fully evaluated net benefits to a shared leader board and
-// abort once their remaining upper bound cannot beat the leader.
-// Aborted members are recorded in SearchStats.Members with Aborted set
-// and never win, so the winning configuration is always complete. Off
-// by default because aborted members' partial results are
-// timing-dependent, unlike the default race whose member results are
-// byte-identical to serial runs.
-func WithCostBoundedRace(on bool) Option {
-	return func(c *config) { c.core.RaceCostBound = on }
-}
-
-// WithTraceCap bounds the per-strategy search trace buffer (0 = the
-// default cap, negative = unlimited). When a search overflows the cap,
-// the trace ends with a "truncated" marker event and
-// SearchStats.TruncatedEvents counts the dropped events; streaming
-// progress events are never truncated.
-func WithTraceCap(n int) Option {
-	return func(c *config) { c.core.TraceCap = n }
-}
-
-// WithLPIterations caps the lp strategy's dual coordinate-descent
-// passes (0 = the solver default). The dual value is a certified upper
-// bound at every pass, so a lower cap trades bound tightness — and
-// with it rounding quality — for solve time, never correctness.
-func WithLPIterations(n int) Option {
-	return func(c *config) { c.core.LPMaxPasses = n }
-}
-
-// WithLPRepairRounds caps the lp strategy's bounded what-if repair
-// after rounding (0 = the default, negative = no repair). Each round
-// drops configuration members no plan uses and prices a fixed-size
-// burst of extension candidates with real marginal evaluations.
-func WithLPRepairRounds(n int) Option {
-	return func(c *config) { c.core.LPRepairRounds = n }
 }
 
 // WithResilience wraps the what-if cost service in the resilience
@@ -287,15 +218,11 @@ func (c *config) validate() error {
 		return &OptionError{Option: "WithBudgetPages", Value: c.core.DiskBudgetPages,
 			Reason: "disk budget must be >= 0 (0 = unlimited)"}
 	}
-	canon, err := search.Canonical(string(c.core.Search))
+	canon, err := search.Canonical(c.core.Strategy)
 	if err != nil {
-		return &OptionError{Option: "WithStrategy", Value: string(c.core.Search), Reason: err.Error()}
+		return &OptionError{Option: "WithStrategy", Value: c.core.Strategy, Reason: err.Error()}
 	}
-	if c.core.LPMaxPasses < 0 {
-		return &OptionError{Option: "WithLPIterations", Value: c.core.LPMaxPasses,
-			Reason: "pass cap must be >= 0 (0 = solver default)"}
-	}
-	c.core.Search = core.SearchKind(canon)
+	c.core.Strategy = canon
 	if c.core.Rules != "" {
 		if _, err := candidate.ParseRules(c.core.Rules); err != nil {
 			return &OptionError{Option: "WithRules", Value: c.core.Rules, Reason: err.Error()}

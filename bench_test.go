@@ -10,6 +10,7 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -20,6 +21,13 @@ import (
 	"repro/internal/optimizer"
 	"repro/internal/workload"
 )
+
+// recommend runs one full advisor pass with the default strategy and an
+// unlimited budget.
+func recommend(a *core.Advisor, w *workload.Workload) (*core.Recommendation, error) {
+	rec, _, err := a.RecommendFull(context.Background(), w, "", 0, nil)
+	return rec, err
+}
 
 func benchEnv(b *testing.B) *experiments.Env {
 	b.Helper()
@@ -133,7 +141,7 @@ func BenchmarkAdvisorEndToEnd(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a := core.New(env.Cat, core.DefaultOptions())
-		if _, err := a.Recommend(w); err != nil {
+		if _, err := recommend(a, w); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -154,7 +162,7 @@ func BenchmarkAdvisorParallel(b *testing.B) {
 				opts := core.DefaultOptions()
 				opts.Parallelism = workers
 				a := core.New(env.Cat, opts)
-				rec, err := a.Recommend(w)
+				rec, err := recommend(a, w)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -179,7 +187,7 @@ func BenchmarkAdvisorScalesWithWorkload(b *testing.B) {
 		b.Run(sizeName(n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				a := core.New(env.Cat, core.DefaultOptions())
-				if _, err := a.Recommend(w); err != nil {
+				if _, err := recommend(a, w); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -213,16 +221,18 @@ func BenchmarkExecutorIndexScan(b *testing.B) {
 	a := core.New(cat, core.DefaultOptions())
 	w := &workload.Workload{Name: "bench"}
 	w.MustAddQuery(1, `for $i in collection("auction")/site/regions/namerica/item where $i/price < 20 return $i/name`)
-	rec, err := a.Recommend(w)
+	rec, err := recommend(a, w)
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := a.Materialize(rec); err != nil {
-		b.Fatal(err)
+	for i, c := range rec.Config {
+		if _, err := cat.CreateIndex(rec.Names[i], c.Collection, c.Pattern, c.Type); err != nil {
+			b.Fatal(err)
+		}
 	}
 	defer func() {
-		for i := range rec.Config {
-			cat.DropIndex("XIA_IDX" + string(rune('1'+i)))
+		for _, name := range rec.Names {
+			cat.DropIndex(name)
 		}
 	}()
 	opt := optimizer.New(cat)

@@ -582,10 +582,11 @@ func (s *shell) cmdCandidates(rest string) error {
 // cmdSearch parses "<workload-file> [budget-pages]" or "-synthetic n=N
 // [budget-pages]" and compares every registered search strategy
 // side-by-side: one advisor prepares the candidate space once (or the
-// deterministic synthetic generator builds it), then each strategy —
-// plus the eager greedy-heuristic baseline and the cost-bounded race —
+// deterministic synthetic generator builds it), then each strategy
 // searches it at the same budget. The evals column is each strategy's
-// exact what-if call count, which is where lazy-vs-eager shows.
+// exact what-if call count. The synthetic table adds the eager
+// greedy-heuristic baseline and the cost-bounded race, which is where
+// lazy-vs-eager shows.
 func (s *shell) cmdSearch(rest string) error {
 	fields := strings.Fields(rest)
 	if len(fields) >= 1 && fields[0] == "-synthetic" {
@@ -634,23 +635,6 @@ func (s *shell) cmdSearch(rest string) error {
 		s.searchTableRow(name, len(resp.Indexes), resp.TotalPages, resp.NetBenefit, resp.Search.Rounds,
 			resp.Search.Elapsed, resp.Search.Evals, resp.Cache.Hits, note)
 	}
-	// Eager baseline for the lazy-greedy comparison: same candidate
-	// space, original per-round prefix re-evaluation.
-	eagerAdv, err := advisor.New(s.cat, advisor.WithParallelism(s.parallel), advisor.WithEagerGreedy(true))
-	if err != nil {
-		return err
-	}
-	eagerSess, err := eagerAdv.Open(ctx, w)
-	if err != nil {
-		return err
-	}
-	defer eagerSess.Close()
-	resp, err := eagerSess.Recommend(ctx, advisor.RecommendRequest{Strategy: "greedy-heuristic", BudgetPages: budget})
-	if err != nil {
-		return err
-	}
-	s.searchTableRow("greedy-eager", len(resp.Indexes), resp.TotalPages, resp.NetBenefit, resp.Search.Rounds,
-		resp.Search.Elapsed, resp.Search.Evals, resp.Cache.Hits, "eager marginal scan")
 	return nil
 }
 

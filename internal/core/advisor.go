@@ -2,9 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
-	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -22,8 +19,9 @@ type Options struct {
 	// DiskBudgetPages bounds the total size of the recommended
 	// configuration; 0 means unlimited.
 	DiskBudgetPages int64
-	// Search selects the configuration search algorithm.
-	Search SearchKind
+	// Strategy names the default search strategy: a registered
+	// internal/search name or alias ("" selects search.Default).
+	Strategy string
 	// Generalize enables the candidate generalization phase (§2.2).
 	Generalize bool
 	// MinSharedSteps is the minimum number of shared concrete steps two
@@ -49,44 +47,12 @@ type Options struct {
 	// in the pipeline; 0 means GOMAXPROCS. The candidate set is
 	// identical at every parallelism level.
 	GenParallelism int
-	// IncludeUniversal adds the universal patterns (//* and //@*) as DAG
-	// roots, the most general indexes possible. They are usually far too
-	// large to recommend, but give top-down search the full root-to-leaf
-	// range the paper describes.
-	IncludeUniversal bool
-	// RelaxAxes enables the optional axis-relaxation rule: each child
-	// step of a candidate also generalizes to a descendant step
-	// (/a/b -> /a//b), useful when future workloads move subtrees.
-	RelaxAxes bool
 
 	// Anytime makes deadline-aware strategies return the best result
 	// found so far when the context deadline expires instead of failing.
 	// Today the race portfolio honors it: members that completed before
 	// the deadline still compete and the best finished member wins.
 	Anytime bool
-
-	// EagerGreedy forces greedy-heuristic's original eager marginal
-	// scan instead of the default lazy-greedy heap. Both choose the
-	// same configuration; eager is the measured baseline for the lazy
-	// path's what-if call reduction.
-	EagerGreedy bool
-	// RaceCostBound makes the race portfolio cost-bounded: members
-	// publish fully evaluated nets to a shared leader board and abort
-	// once their remaining upper bound cannot beat the leader (aborted
-	// members are recorded in the search stats and never win).
-	RaceCostBound bool
-	// TraceCap bounds the per-strategy search trace buffer: 0 means
-	// the search layer's default, negative means unlimited. Truncation
-	// is recorded in the search stats.
-	TraceCap int
-	// LPMaxPasses caps the lp strategy's dual coordinate-descent
-	// passes; 0 means the solver default. The dual value is a valid
-	// upper bound at every pass, so a lower cap trades bound tightness
-	// (and rounding quality) for solve time, never correctness.
-	LPMaxPasses int
-	// LPRepairRounds caps the lp strategy's what-if repair rounds after
-	// rounding; 0 means the default, negative disables repair entirely.
-	LPRepairRounds int
 
 	// Parallelism bounds concurrent what-if query evaluations in the
 	// costing engine; 0 means GOMAXPROCS.
@@ -122,7 +88,7 @@ type Options struct {
 // DefaultOptions returns the advisor defaults used by the demo tools.
 func DefaultOptions() Options {
 	return Options{
-		Search:           SearchGreedyHeuristic,
+		Strategy:         search.Default,
 		Generalize:       true,
 		MinSharedSteps:   candidate.DefaultMinSharedSteps,
 		MaxCandidates:    candidate.DefaultMaxCandidates,
@@ -300,8 +266,6 @@ type Recommendation struct {
 	// TraceEvents is the structured search trace (typed events with
 	// round, action, candidate key, benefit, pages, and cache deltas).
 	TraceEvents search.Trace
-	// Trace is TraceEvents rendered to text, one line per event.
-	Trace []string
 	// Search holds the strategy's run stats: rounds, wall time, cache
 	// counter deltas, and — for the race portfolio — the winner and
 	// per-member stats.
@@ -317,7 +281,7 @@ type Recommendation struct {
 	// Cache holds the what-if engine counter deltas for this run. The
 	// deltas are windows over the advisor's shared engine counters:
 	// they are accurate when runs on one Advisor do not overlap, and
-	// approximate if Recommend/EvaluateOn/AnalyzeConfig run
+	// approximate if RecommendFull/RecommendWith/EvaluateDefs run
 	// concurrently on the same Advisor (the evaluations themselves
 	// remain correct either way).
 	Cache whatif.Stats
@@ -334,26 +298,13 @@ type Recommendation struct {
 	DegradedReason string
 }
 
-// Recommend runs the full index recommendation pipeline on the workload.
-func (a *Advisor) Recommend(w *workload.Workload) (*Recommendation, error) {
-	return a.RecommendContext(context.Background(), w)
-}
-
-// RecommendContext is Recommend with cancellation: the context is
-// threaded through every what-if evaluation, so a cancelled or expired
-// context aborts the search promptly.
-func (a *Advisor) RecommendContext(ctx context.Context, w *workload.Workload) (*Recommendation, error) {
-	rec, _, err := a.RecommendFull(ctx, w, a.opts.Search, a.opts.DiskBudgetPages, nil)
-	return rec, err
-}
-
 // RecommendFull is the one-shot pipeline with per-call strategy and
 // budget: Prepare plus one search, with Elapsed and the cache/kernel
 // counter windows covering the whole run (candidate generation
 // included), unlike Prepared.RecommendWith whose windows cover only the
 // search. The Prepared is returned alongside so callers can keep the
 // warm space for follow-up searches.
-func (a *Advisor) RecommendFull(ctx context.Context, w *workload.Workload, kind SearchKind, budgetPages int64,
+func (a *Advisor) RecommendFull(ctx context.Context, w *workload.Workload, strategy string, budgetPages int64,
 	obs func(search.TraceEvent)) (*Recommendation, *Prepared, error) {
 	start := time.Now()
 	statsBefore := a.cost.Stats()
@@ -362,7 +313,7 @@ func (a *Advisor) RecommendFull(ctx context.Context, w *workload.Workload, kind 
 	if err != nil {
 		return nil, nil, err
 	}
-	rec, err := p.recommend(ctx, kind, budgetPages, obs, start, statsBefore, kernelBefore)
+	rec, err := p.recommend(ctx, strategy, budgetPages, obs, start, statsBefore, kernelBefore)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -375,20 +326,10 @@ func catalogDDL(name string, c *Candidate) string {
 	return d.DDL()
 }
 
-// EvaluateOn measures the recommended configuration's benefit on another
+// EvaluateDefs measures an index-definition configuration on a
 // workload (the unseen-queries analysis of the demo, Figure 5's "add
-// more queries" feature). It returns total weighted cost without
-// indexes, with the configuration, and the benefit.
-func (a *Advisor) EvaluateOn(w *workload.Workload, config []*Candidate) (noIdx, withIdx float64, err error) {
-	defs := make([]*catalog.IndexDef, len(config))
-	for i, c := range config {
-		defs[i] = c.Def
-	}
-	return a.EvaluateDefs(context.Background(), w, defs)
-}
-
-// EvaluateDefs is EvaluateOn for an arbitrary index-definition
-// configuration — the hook the public facade uses to cost
+// more queries" feature): total weighted cost without indexes and with
+// the configuration. It is the hook the public facade uses to cost
 // configurations that arrived as DTOs (possibly from another process).
 // Each call binds a what-if scope of its own, so definitions decoded
 // from requests never accumulate in a session's relevance memo.
@@ -405,97 +346,4 @@ func (a *Advisor) EvaluateDefs(ctx context.Context, w *workload.Workload, defs [
 		withIdx += e.Weight * res.Queries[qi].Cost
 	}
 	return noIdx, withIdx, nil
-}
-
-// evalWorkload costs an arbitrary workload under a candidate
-// configuration through the what-if engine.
-func (a *Advisor) evalWorkload(ctx context.Context, w *workload.Workload, config []*Candidate) (*whatif.ConfigEval, error) {
-	if err := a.ensureFreshCosts(w); err != nil {
-		return nil, err
-	}
-	defs := make([]*catalog.IndexDef, len(config))
-	for i, c := range config {
-		defs[i] = c.Def
-	}
-	return a.cost.EvaluateConfig(ctx, w.QueryList(), defs)
-}
-
-// AnalyzeConfig re-runs the per-query analysis for a user-modified
-// configuration — the demo's Figure 5 feature of adding/removing indexes
-// from the recommendation and seeing the effect on every query.
-func (a *Advisor) AnalyzeConfig(w *workload.Workload, config []*Candidate) ([]QueryAnalysis, error) {
-	names := map[string]string{}
-	for i, c := range config {
-		names[c.Def.Name] = fmt.Sprintf("XIA_IDX%d", i+1)
-	}
-	res, err := a.evalWorkload(context.Background(), w, config)
-	if err != nil {
-		return nil, err
-	}
-	var out []QueryAnalysis
-	for qi, e := range w.Queries {
-		qe := res.Queries[qi]
-		qa := QueryAnalysis{
-			ID:              e.Query.ID,
-			Text:            e.Query.Text,
-			Weight:          e.Weight,
-			CostNoIndexes:   qe.CostNoIndexes,
-			CostRecommended: qe.Cost,
-		}
-		for _, n := range qe.UsedIndexes {
-			qa.IndexesUsed = append(qa.IndexesUsed, names[n])
-		}
-		sort.Strings(qa.IndexesUsed)
-		out = append(out, qa)
-	}
-	return out, nil
-}
-
-// WithoutIndex returns config minus the candidate at index i, for
-// what-if removal analysis.
-func WithoutIndex(config []*Candidate, i int) []*Candidate {
-	if i < 0 || i >= len(config) {
-		return config
-	}
-	out := make([]*Candidate, 0, len(config)-1)
-	out = append(out, config[:i]...)
-	return append(out, config[i+1:]...)
-}
-
-// Materialize creates the recommended indexes as real (physical) indexes
-// in the catalog, returning their names — the demo's final "create the
-// recommended configuration" step.
-func (a *Advisor) Materialize(rec *Recommendation) ([]string, error) {
-	var names []string
-	for i, c := range rec.Config {
-		name := fmt.Sprintf("XIA_IDX%d", i+1)
-		if _, err := a.cat.CreateIndex(name, c.Collection, c.Pattern, c.Type); err != nil {
-			return names, err
-		}
-		names = append(names, name)
-	}
-	return names, nil
-}
-
-// Report renders the recommendation as text: configuration, DDL,
-// benefits, and the per-query analysis table.
-func (rec *Recommendation) Report() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "=== XML Index Advisor recommendation ===\n")
-	fmt.Fprintf(&sb, "candidates: %d basic, %d total (DAG: %d edges, %d roots)\n",
-		len(rec.Basics), len(rec.DAG.Nodes), rec.DAG.Edges(), len(rec.DAG.Roots))
-	fmt.Fprintf(&sb, "recommended configuration: %d indexes, %d pages\n", len(rec.Config), rec.TotalPages)
-	for _, ddl := range rec.DDL {
-		fmt.Fprintf(&sb, "  %s\n", ddl)
-	}
-	fmt.Fprintf(&sb, "estimated query benefit: %.1f   update cost: %.1f   net: %.1f\n",
-		rec.QueryBenefit, rec.UpdateCost, rec.NetBenefit)
-	fmt.Fprintf(&sb, "\n%-6s %10s %12s %12s  %s\n", "query", "no-index", "recommended", "overtrained", "indexes used")
-	for _, qa := range rec.PerQuery {
-		fmt.Fprintf(&sb, "%-6s %10.1f %12.1f %12.1f  %s\n",
-			qa.ID, qa.CostNoIndexes, qa.CostRecommended, qa.CostOvertrained, strings.Join(qa.IndexesUsed, ","))
-	}
-	fmt.Fprintf(&sb, "\nadvisor runtime: %v (%d what-if evaluations, %d cache hits)\n",
-		rec.Elapsed.Round(time.Millisecond), rec.Evaluations, rec.Cache.Hits)
-	return sb.String()
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -22,11 +23,18 @@ func xmarkFixture(t testing.TB, docs int) *catalog.Catalog {
 	return catalog.New(st)
 }
 
+// recommend runs the one-shot pipeline with the advisor's configured
+// strategy and budget.
+func recommend(a *Advisor, w *workload.Workload) (*Recommendation, error) {
+	rec, _, err := a.RecommendFull(context.Background(), w, a.opts.Strategy, a.opts.DiskBudgetPages, nil)
+	return rec, err
+}
+
 func TestRecommendPaperExample(t *testing.T) {
 	cat := xmarkFixture(t, 300)
 	a := New(cat, DefaultOptions())
 	w := datagen.XMarkPaperWorkload()
-	rec, err := a.Recommend(w)
+	rec, err := recommend(a, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +74,7 @@ func TestRecommendImprovesPerQueryCosts(t *testing.T) {
 	cat := xmarkFixture(t, 300)
 	a := New(cat, DefaultOptions())
 	w := datagen.XMarkWorkload(12, 3)
-	rec, err := a.Recommend(w)
+	rec, err := recommend(a, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +105,7 @@ func TestBudgetIsRespected(t *testing.T) {
 	w := datagen.XMarkWorkload(10, 4)
 
 	unlimited := New(cat, DefaultOptions())
-	recU, err := unlimited.Recommend(w)
+	recU, err := recommend(unlimited, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,12 +113,12 @@ func TestBudgetIsRespected(t *testing.T) {
 		t.Skip("nothing recommended; cannot test budget")
 	}
 	budget := recU.TotalPages / 2
-	for _, kind := range []SearchKind{SearchGreedyHeuristic, SearchTopDown, SearchGreedyBasic} {
+	for _, kind := range []string{"greedy-heuristic", "topdown", "greedy-basic"} {
 		opts := DefaultOptions()
 		opts.DiskBudgetPages = budget
-		opts.Search = kind
+		opts.Strategy = kind
 		a := New(cat, opts)
-		rec, err := a.Recommend(w)
+		rec, err := recommend(a, w)
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
@@ -128,7 +136,7 @@ func TestHeuristicBeatsPlainGreedyUnderTightBudget(t *testing.T) {
 	w := datagen.XMarkWorkload(16, 7)
 
 	base := New(cat, DefaultOptions())
-	recBase, err := base.Recommend(w)
+	recBase, err := recommend(base, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,18 +145,18 @@ func TestHeuristicBeatsPlainGreedyUnderTightBudget(t *testing.T) {
 	}
 	budget := recBase.TotalPages / 3
 
-	run := func(kind SearchKind) *Recommendation {
+	run := func(kind string) *Recommendation {
 		opts := DefaultOptions()
 		opts.DiskBudgetPages = budget
-		opts.Search = kind
-		rec, err := New(cat, opts).Recommend(w)
+		opts.Strategy = kind
+		rec, err := recommend(New(cat, opts), w)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return rec
 	}
-	heur := run(SearchGreedyHeuristic)
-	plain := run(SearchGreedyBasic)
+	heur := run("greedy-heuristic")
+	plain := run("greedy-basic")
 	// The paper's claim: redundancy-aware greedy never loses to plain
 	// greedy (which wastes budget on overlapping indexes).
 	if heur.NetBenefit+1e-6 < plain.NetBenefit {
@@ -161,7 +169,7 @@ func TestEveryRecommendedIndexIsUsed(t *testing.T) {
 	opts := DefaultOptions()
 	a := New(cat, opts)
 	w := datagen.XMarkWorkload(10, 5)
-	rec, err := a.Recommend(w)
+	rec, err := recommend(a, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,14 +194,14 @@ func TestUpdateCostShrinksRecommendation(t *testing.T) {
 	cat := xmarkFixture(t, 300)
 	w := datagen.XMarkWorkload(10, 6)
 
-	recNoUpd, err := New(cat, DefaultOptions()).Recommend(w)
+	recNoUpd, err := recommend(New(cat, DefaultOptions()), w)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Heavy updates: maintenance should eat into net benefit.
 	wUpd := datagen.XMarkWorkload(10, 6)
 	datagen.XMarkUpdates(wUpd, 500, 6)
-	recUpd, err := New(cat, DefaultOptions()).Recommend(wUpd)
+	recUpd, err := recommend(New(cat, DefaultOptions()), wUpd)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,14 +226,14 @@ func TestGeneralizationHelpsUnseenQueries(t *testing.T) {
 
 	run := func(generalize bool) float64 {
 		opts := DefaultOptions()
-		opts.Search = SearchTopDown
+		opts.Strategy = "topdown"
 		opts.Generalize = generalize
 		a := New(cat, opts)
-		rec, err := a.Recommend(train)
+		rec, err := recommend(a, train)
 		if err != nil {
 			t.Fatal(err)
 		}
-		noIdx, withIdx, err := a.EvaluateOn(test, rec.Config)
+		noIdx, withIdx, err := a.EvaluateDefs(context.Background(), test, defsOfCandidates(rec.Config))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -245,18 +253,16 @@ func TestMaterializeAndExecute(t *testing.T) {
 	cat := xmarkFixture(t, 200)
 	a := New(cat, DefaultOptions())
 	w := datagen.XMarkWorkload(8, 9)
-	rec, err := a.Recommend(w)
+	rec, err := recommend(a, w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	names, err := a.Materialize(rec)
-	if err != nil {
-		t.Fatal(err)
+	for i, c := range rec.Config {
+		if _, err := cat.CreateIndex(rec.Names[i], c.Collection, c.Pattern, c.Type); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if len(names) != len(rec.Config) {
-		t.Fatalf("materialized %d of %d", len(names), len(rec.Config))
-	}
-	for _, n := range names {
+	for _, n := range rec.Names {
 		def := cat.Index(n)
 		if def == nil || def.Phys == nil {
 			t.Fatalf("index %s not physically built", n)
@@ -289,13 +295,13 @@ func TestSyntacticEnumerationIsWorse(t *testing.T) {
 	w := datagen.XMarkWorkload(12, 10)
 
 	optsOpt := DefaultOptions()
-	recOpt, err := New(cat, optsOpt).Recommend(w)
+	recOpt, err := recommend(New(cat, optsOpt), w)
 	if err != nil {
 		t.Fatal(err)
 	}
 	optsSyn := DefaultOptions()
 	optsSyn.Enumeration = EnumSyntactic
-	recSyn, err := New(cat, optsSyn).Recommend(w)
+	recSyn, err := recommend(New(cat, optsSyn), w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +317,7 @@ func TestAdvisorRefreshesCostsAfterDataChange(t *testing.T) {
 	cat := xmarkFixture(t, 100)
 	a := New(cat, DefaultOptions())
 	w := datagen.XMarkPaperWorkload()
-	rec1, err := a.Recommend(w)
+	rec1, err := recommend(a, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +329,7 @@ func TestAdvisorRefreshesCostsAfterDataChange(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	rec2, err := a.Recommend(w)
+	rec2, err := recommend(a, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,13 +343,13 @@ func TestRecommendationIdenticalAcrossGenParallelism(t *testing.T) {
 	cat := xmarkFixture(t, 200)
 	w := datagen.XMarkWorkload(10, 12)
 	fingerprint := func(rec *Recommendation) string {
-		return strings.Join(rec.DDL, "\n") + "\n" + rec.DAG.Render() + strings.Join(rec.Trace, "\n")
+		return strings.Join(rec.DDL, "\n") + "\n" + rec.DAG.Render() + strings.Join(rec.TraceEvents.Strings(), "\n")
 	}
 	var base string
 	for _, par := range []int{1, 4, 8} {
 		opts := DefaultOptions()
 		opts.GenParallelism = par
-		rec, err := New(cat, opts).Recommend(w)
+		rec, err := recommend(New(cat, opts), w)
 		if err != nil {
 			t.Fatalf("parallelism %d: %v", par, err)
 		}
@@ -361,7 +367,7 @@ func TestCustomSourceOverridesEnumeration(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Source = candidate.SyntacticSource{}
 	a := New(cat, opts)
-	rec, err := a.Recommend(datagen.XMarkPaperWorkload())
+	rec, err := recommend(a, datagen.XMarkPaperWorkload())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +380,7 @@ func TestRulesSpecSelectsRules(t *testing.T) {
 	cat := xmarkFixture(t, 150)
 	opts := DefaultOptions()
 	opts.Rules = "lub"
-	rec, err := New(cat, opts).Recommend(datagen.XMarkPaperWorkload())
+	rec, err := recommend(New(cat, opts), datagen.XMarkPaperWorkload())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +388,7 @@ func TestRulesSpecSelectsRules(t *testing.T) {
 		t.Errorf("rules = %+v, want lub only", rec.Gen.Rules)
 	}
 	opts.Rules = "bogus"
-	if _, err := New(cat, opts).Recommend(datagen.XMarkPaperWorkload()); err == nil {
+	if _, err := recommend(New(cat, opts), datagen.XMarkPaperWorkload()); err == nil {
 		t.Error("bogus rule spec should fail")
 	}
 }
@@ -390,71 +396,7 @@ func TestRulesSpecSelectsRules(t *testing.T) {
 func TestEmptyWorkloadFails(t *testing.T) {
 	cat := xmarkFixture(t, 10)
 	a := New(cat, DefaultOptions())
-	if _, err := a.Recommend(&workload.Workload{}); err == nil {
+	if _, err := recommend(a, &workload.Workload{}); err == nil {
 		t.Error("empty workload should fail")
-	}
-}
-
-func TestReportRendering(t *testing.T) {
-	cat := xmarkFixture(t, 150)
-	a := New(cat, DefaultOptions())
-	rec, err := a.Recommend(datagen.XMarkPaperWorkload())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := rec.Report()
-	for _, want := range []string{"recommendation", "CREATE INDEX", "overtrained", "net:"} {
-		if !strings.Contains(rep, want) {
-			t.Errorf("report missing %q:\n%s", want, rep)
-		}
-	}
-	dag := rec.DAG.Render()
-	if !strings.Contains(dag, "roots") {
-		t.Errorf("DAG render:\n%s", dag)
-	}
-}
-
-func TestAnalyzeConfigWhatIf(t *testing.T) {
-	cat := xmarkFixture(t, 200)
-	a := New(cat, DefaultOptions())
-	w := datagen.XMarkWorkload(8, 20)
-	rec, err := a.Recommend(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rec.Config) < 2 {
-		t.Skip("config too small for removal analysis")
-	}
-	full, err := a.AnalyzeConfig(w, rec.Config)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reduced, err := a.AnalyzeConfig(w, WithoutIndex(rec.Config, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(full) != len(w.Queries) || len(reduced) != len(w.Queries) {
-		t.Fatal("analysis row count wrong")
-	}
-	var fullTot, redTot float64
-	for i := range full {
-		fullTot += full[i].Weight * full[i].CostRecommended
-		redTot += reduced[i].Weight * reduced[i].CostRecommended
-		// Removing an index can only increase (or keep) each cost.
-		if reduced[i].CostRecommended+1e-9 < full[i].CostRecommended {
-			t.Errorf("%s: cost dropped after removing an index", full[i].ID)
-		}
-	}
-	if redTot < fullTot {
-		t.Error("total cost dropped after removing an index")
-	}
-	// The full analysis must agree with the recommendation's own table.
-	for i, qa := range rec.PerQuery {
-		if d := qa.CostRecommended - full[i].CostRecommended; d > 1e-6 || d < -1e-6 {
-			t.Errorf("%s: AnalyzeConfig %f != recommendation %f", qa.ID, full[i].CostRecommended, qa.CostRecommended)
-		}
-	}
-	if got := WithoutIndex(rec.Config, -1); len(got) != len(rec.Config) {
-		t.Error("WithoutIndex out of range should be a no-op")
 	}
 }

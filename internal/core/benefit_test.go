@@ -140,7 +140,7 @@ func TestUpdateBenefitUnchangedByKernelCache(t *testing.T) {
 	}
 
 	a := New(cat, DefaultOptions())
-	rec, err := a.Recommend(w)
+	rec, err := recommend(a, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestUpdateBenefitUnchangedByKernelCache(t *testing.T) {
 
 	// A second advisor over the now-warm process-wide kernel must charge
 	// identical costs (cached Overlaps results replay correctly).
-	rec2, err := New(cat, DefaultOptions()).Recommend(w)
+	rec2, err := recommend(New(cat, DefaultOptions()), w)
 	if err != nil {
 		t.Fatal(err)
 	}

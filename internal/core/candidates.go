@@ -62,8 +62,7 @@ func (a *Advisor) candidateSource() candidate.Source {
 
 // candidateRules resolves the generalization rule set: Generalize=false
 // disables all rules; an explicit Options.Rules spec is parsed as-is;
-// otherwise the paper's default rules apply, extended by the RelaxAxes
-// and IncludeUniversal toggles.
+// otherwise the paper's default rules apply.
 func (a *Advisor) candidateRules() ([]candidate.Rule, error) {
 	if !a.opts.Generalize {
 		return nil, nil
@@ -71,21 +70,10 @@ func (a *Advisor) candidateRules() ([]candidate.Rule, error) {
 	if a.opts.Rules != "" {
 		return candidate.ParseRules(a.opts.Rules)
 	}
-	rules := candidate.DefaultRules()
-	if a.opts.RelaxAxes {
-		if r, err := candidate.RuleByName("axis"); err == nil {
-			rules = append(rules, r)
-		}
-	}
-	if a.opts.IncludeUniversal {
-		if r, err := candidate.RuleByName("universal"); err == nil {
-			rules = append(rules, r)
-		}
-	}
-	return rules, nil
+	return candidate.DefaultRules(), nil
 }
 
-// pipeline assembles the candidate pipeline for one Recommend run.
+// pipeline assembles the candidate pipeline for one Prepare run.
 func (a *Advisor) pipeline() (*candidate.Pipeline, error) {
 	rules, err := a.candidateRules()
 	if err != nil {

@@ -12,7 +12,7 @@ func recommendWith(t *testing.T, opts Options, w *workload.Workload) *Recommenda
 	t.Helper()
 	cat := xmarkFixture(t, 150)
 	a := New(cat, opts)
-	rec, err := a.Recommend(w)
+	rec, err := recommend(a, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,9 +90,9 @@ func TestCoversBitmapMatchesContainment(t *testing.T) {
 	}
 }
 
-func TestIncludeUniversalAddsRoots(t *testing.T) {
+func TestUniversalRuleAddsRoots(t *testing.T) {
 	opts := DefaultOptions()
-	opts.IncludeUniversal = true
+	opts.Rules = "lub,leaf,universal"
 	rec := recommendWith(t, opts, datagen.XMarkPaperWorkload())
 	var sawUniversal bool
 	for _, r := range rec.DAG.Roots {
@@ -101,7 +101,7 @@ func TestIncludeUniversalAddsRoots(t *testing.T) {
 		}
 	}
 	if !sawUniversal {
-		t.Error("IncludeUniversal did not add //* roots")
+		t.Error("the universal rule did not add //* roots")
 	}
 	// //* must contain every same-type element candidate, so no other
 	// element-pattern node of that type may be a root.
@@ -120,9 +120,9 @@ func TestIncludeUniversalAddsRoots(t *testing.T) {
 	}
 }
 
-func TestRelaxAxesAddsDescendantCandidates(t *testing.T) {
+func TestAxisRuleAddsDescendantCandidates(t *testing.T) {
 	opts := DefaultOptions()
-	opts.RelaxAxes = true
+	opts.Rules = "lub,leaf,axis"
 	rec := recommendWith(t, opts, datagen.XMarkPaperWorkload())
 	found := false
 	for _, c := range rec.DAG.Nodes {
@@ -131,7 +131,7 @@ func TestRelaxAxesAddsDescendantCandidates(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Error("RelaxAxes produced no multi-step descendant candidates")
+		t.Error("the axis rule produced no multi-step descendant candidates")
 	}
 }
 
@@ -153,7 +153,7 @@ func TestMinSharedStepsBlocksUnrelatedLUB(t *testing.T) {
 	// Same shape, nothing but the root shared: LUB would be /site/*/*/*.
 	w.MustAddQuery(1, `for $i in collection("auction")/site/regions/namerica/item where $i/quantity > 1 return $i`)
 	w.MustAddQuery(1, `for $p in collection("auction")/site/people/person where $p/profile/@income > 1 return $p`)
-	rec, err := a.Recommend(w)
+	rec, err := recommend(a, w)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,16 +63,9 @@ func (a *Advisor) optionsFingerprint() string {
 	o := a.opts
 	rules := "none"
 	if o.Generalize {
+		rules = "default"
 		if o.Rules != "" {
 			rules = o.Rules
-		} else {
-			rules = "default"
-			if o.RelaxAxes {
-				rules += "+axis"
-			}
-			if o.IncludeUniversal {
-				rules += "+universal"
-			}
 		}
 	}
 	return fmt.Sprintf("v1|src=%s|rules=%s|minshared=%d|maxcand=%d|noproj=%t",
@@ -332,7 +325,7 @@ func (a *Advisor) restorePrepared(ctx context.Context, snap *snapshot.Snapshot) 
 	}
 	a.cost.ImportAtoms(atoms)
 
-	// Record the verified statistics versions so a later Recommend on
+	// Record the verified statistics versions so a later Prepare on
 	// the same collections does not flush the cache we just warmed.
 	a.verMu.Lock()
 	for _, cv := range snap.Meta.Collections {

@@ -23,7 +23,7 @@ func benchSession(b *testing.B) (*catalog.Catalog, *Prepared, []byte) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := p.RecommendWith(ctx, SearchGreedyHeuristic, 0); err != nil {
+	if _, err := p.RecommendWith(ctx, "greedy-heuristic", 0, nil); err != nil {
 		b.Fatal(err)
 	}
 	if _, err := p.BenefitMatrix(ctx); err != nil {
@@ -95,7 +95,7 @@ func BenchmarkColdOpenRecommend(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := p.RecommendWith(ctx, SearchGreedyHeuristic, 0); err != nil {
+		if _, err := p.RecommendWith(ctx, "greedy-heuristic", 0, nil); err != nil {
 			b.Fatal(err)
 		}
 		evals += a.CostEngine().Stats().Evaluations
@@ -118,7 +118,7 @@ func BenchmarkWarmRestoreRecommend(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := p.RecommendWith(ctx, SearchGreedyHeuristic, 0); err != nil {
+		if _, err := p.RecommendWith(ctx, "greedy-heuristic", 0, nil); err != nil {
 			b.Fatal(err)
 		}
 		evals += a.CostEngine().Stats().Evaluations

@@ -64,16 +64,16 @@ func TestPreparedSaveLoadParity(t *testing.T) {
 	_, cat := xmarkStoreFixture(t, 300)
 	ctx := context.Background()
 	w := datagen.XMarkPaperWorkload()
-	strategies := []SearchKind{SearchGreedyHeuristic, SearchTopDown, SearchGreedyBasic}
+	strategies := []string{"greedy-heuristic", "topdown", "greedy-basic"}
 
 	a := New(cat, DefaultOptions())
 	p1, err := a.Prepare(ctx, w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := map[SearchKind]string{}
+	want := map[string]string{}
 	for _, k := range strategies {
-		rec, err := p1.RecommendWith(ctx, k, 0)
+		rec, err := p1.RecommendWith(ctx, k, 0, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", k, err)
 		}
@@ -101,7 +101,7 @@ func TestPreparedSaveLoadParity(t *testing.T) {
 		t.Errorf("restore issued %d CostService calls, want 0 (base costs must come from imported atoms)", evalsAfterLoad)
 	}
 	for _, k := range strategies {
-		rec, err := p2.RecommendWith(ctx, k, 0)
+		rec, err := p2.RecommendWith(ctx, k, 0, nil)
 		if err != nil {
 			t.Fatalf("restored %s: %v", k, err)
 		}
@@ -179,6 +179,30 @@ func TestLoadPreparedOptionsMismatch(t *testing.T) {
 	var me *SnapshotMismatchError
 	if !errors.As(err, &me) || me.Field != "options" {
 		t.Fatalf("LoadPrepared = %v, want options SnapshotMismatchError", err)
+	}
+}
+
+// TestOptionsFingerprintPinned pins the snapshot options fingerprint
+// format. Snapshot files store it, and a changed rendering for the same
+// options would make every persisted session fall back to a cold
+// prepare.
+func TestOptionsFingerprintPinned(t *testing.T) {
+	cat := catalog.New(store.New())
+	rules := DefaultOptions()
+	rules.Rules = "lub,leaf,axis"
+	off := DefaultOptions()
+	off.Generalize = false
+	for _, tc := range []struct {
+		opts Options
+		want string
+	}{
+		{DefaultOptions(), "v1|src=optimizer|rules=default|minshared=1|maxcand=400|noproj=false"},
+		{rules, "v1|src=optimizer|rules=lub,leaf,axis|minshared=1|maxcand=400|noproj=false"},
+		{off, "v1|src=optimizer|rules=none|minshared=1|maxcand=400|noproj=false"},
+	} {
+		if got := New(cat, tc.opts).optionsFingerprint(); got != tc.want {
+			t.Errorf("fingerprint = %q, want %q", got, tc.want)
+		}
 	}
 }
 

@@ -16,52 +16,6 @@ import (
 	"repro/internal/workload"
 )
 
-// SearchKind selects the configuration search algorithm (paper §2.3).
-// It is a thin alias over the internal/search registry names: any
-// registered strategy name is a valid SearchKind, and the constants
-// below only name the built-in ones. The zero value selects the
-// default strategy (greedy-heuristic).
-type SearchKind string
-
-const (
-	// SearchGreedyHeuristic is the paper's first algorithm: greedy
-	// knapsack augmented with the redundancy bitmap and interaction-
-	// aware re-evaluation.
-	SearchGreedyHeuristic SearchKind = "greedy-heuristic"
-	// SearchTopDown is the paper's second algorithm: root-to-leaf DAG
-	// descent that keeps the configuration as general as possible while
-	// shrinking it into the budget.
-	SearchTopDown SearchKind = "topdown"
-	// SearchGreedyBasic is the plain greedy 0/1-knapsack approximation
-	// of the relational DB2 advisor [8], kept as the baseline the paper
-	// compares its strategies against.
-	SearchGreedyBasic SearchKind = "greedy-basic"
-	// SearchRace is the portfolio strategy: every registered strategy
-	// races concurrently on the shared what-if cache and the best
-	// configuration wins.
-	SearchRace SearchKind = "race"
-)
-
-// String names the search kind (the default strategy for the zero
-// value).
-func (k SearchKind) String() string {
-	if k == "" {
-		return search.Default
-	}
-	return string(k)
-}
-
-// ParseSearchKind resolves a search strategy name or alias against the
-// search registry. Unknown names fail with an error enumerating the
-// valid strategies.
-func ParseSearchKind(s string) (SearchKind, error) {
-	name, err := search.Canonical(s)
-	if err != nil {
-		return "", err
-	}
-	return SearchKind(name), nil
-}
-
 // Prepared is one advisor run stopped just before configuration search:
 // the candidate pipeline has run and the what-if evaluator is bound to
 // the workload. Repeated searches over it — different strategies,
@@ -70,7 +24,7 @@ func ParseSearchKind(s string) (SearchKind, error) {
 // advisor, which is what budget sweeps and strategy comparisons want.
 //
 // A Prepared is valid until the underlying collections change; it does
-// not re-check catalog statistics versions the way Recommend does.
+// not re-check catalog statistics versions the way Prepare does.
 type Prepared struct {
 	a     *Advisor
 	w     *workload.Workload
@@ -127,11 +81,6 @@ func (a *Advisor) assemble(ctx context.Context, w *workload.Workload, set *candi
 		Eval:             searchEvaluator{ev},
 		InteractionAware: a.opts.InteractionAware,
 		Anytime:          a.opts.Anytime,
-		EagerGreedy:      a.opts.EagerGreedy,
-		RaceCostBound:    a.opts.RaceCostBound,
-		TraceCap:         a.opts.TraceCap,
-		LPMaxPasses:      a.opts.LPMaxPasses,
-		LPRepairRounds:   a.opts.LPRepairRounds,
 		Counters: func() search.Counters {
 			s := a.cost.Stats()
 			return search.Counters{Hits: s.Hits, Misses: s.Misses, Evaluations: s.Evaluations}
@@ -240,32 +189,27 @@ func (p *Prepared) DAG() *DAG { return p.set.DAG }
 // prepared space.
 func (p *Prepared) CandidateStats() candidate.Stats { return p.set.Stats }
 
-// RecommendWith runs one search strategy at one disk budget (0 =
-// unlimited) over the prepared space and assembles the full
-// recommendation. The run's cache/kernel counter windows and Elapsed
-// cover only this search, not the shared candidate generation.
-func (p *Prepared) RecommendWith(ctx context.Context, kind SearchKind, budgetPages int64) (*Recommendation, error) {
-	return p.RecommendObserved(ctx, kind, budgetPages, nil)
-}
-
-// RecommendObserved is RecommendWith with a streaming trace hook: every
-// search TraceEvent is forwarded to obs as it is emitted, before the
-// recommendation is assembled. obs may be called concurrently (the race
-// portfolio's members search at once) and must not block for long. A
-// nil obs makes it identical to RecommendWith. Concurrent calls on one
-// Prepared are safe and each sees only its own events.
-func (p *Prepared) RecommendObserved(ctx context.Context, kind SearchKind, budgetPages int64,
+// RecommendWith runs one search strategy (a registered name or alias;
+// "" selects search.Default) at one disk budget (0 = unlimited) over
+// the prepared space and assembles the full recommendation. The run's
+// cache/kernel counter windows and Elapsed cover only this search, not
+// the shared candidate generation. A non-nil obs receives every search
+// TraceEvent as it is emitted, before the recommendation is assembled;
+// it may be called concurrently (the race portfolio's members search at
+// once) and must not block for long. Concurrent calls on one Prepared
+// are safe and each observer sees only its own events.
+func (p *Prepared) RecommendWith(ctx context.Context, strategy string, budgetPages int64,
 	obs func(search.TraceEvent)) (*Recommendation, error) {
-	return p.recommend(ctx, kind, budgetPages, obs, time.Now(), p.a.cost.Stats(), pattern.Stats())
+	return p.recommend(ctx, strategy, budgetPages, obs, time.Now(), p.a.cost.Stats(), pattern.Stats())
 }
 
 // recommend searches the prepared space and derives the recommendation
 // output: DDL, per-query analysis, overtrained comparison, and the
 // counter windows against the given snapshots.
-func (p *Prepared) recommend(ctx context.Context, kind SearchKind, budgetPages int64,
+func (p *Prepared) recommend(ctx context.Context, strategy string, budgetPages int64,
 	obs func(search.TraceEvent),
 	start time.Time, statsBefore whatif.Stats, kernelBefore pattern.KernelStats) (*Recommendation, error) {
-	strat, err := search.Lookup(string(kind))
+	strat, err := search.Lookup(strategy)
 	if err != nil {
 		return nil, err
 	}
@@ -296,7 +240,6 @@ func (p *Prepared) recommend(ctx context.Context, kind SearchKind, budgetPages i
 		DAG:         p.set.DAG,
 		Gen:         p.set.Stats,
 		TraceEvents: res.Trace,
-		Trace:       res.Trace.Strings(),
 		Search:      res.Stats,
 		Degraded:    res.Degraded,
 	}

@@ -2,51 +2,12 @@ package core
 
 import (
 	"context"
-	"encoding/json"
 	"strings"
 	"testing"
 
 	"repro/internal/datagen"
 	"repro/internal/search"
 )
-
-func TestParseSearchKind(t *testing.T) {
-	for in, want := range map[string]SearchKind{
-		"greedy":           SearchGreedyHeuristic,
-		"greedy-heuristic": SearchGreedyHeuristic,
-		"heuristic":        SearchGreedyHeuristic,
-		"topdown":          SearchTopDown,
-		"top-down":         SearchTopDown,
-		"greedy-basic":     SearchGreedyBasic,
-		"basic":            SearchGreedyBasic,
-		"knapsack":         SearchGreedyBasic,
-		"race":             SearchRace,
-		"portfolio":        SearchRace,
-		"":                 SearchGreedyHeuristic,
-	} {
-		got, err := ParseSearchKind(in)
-		if err != nil || got != want {
-			t.Errorf("ParseSearchKind(%q) = %v, %v", in, got, err)
-		}
-	}
-	_, err := ParseSearchKind("simulated-annealing")
-	if err == nil {
-		t.Fatal("unknown search should fail")
-	}
-	// The error must enumerate the valid strategy names, not just echo
-	// the bad input.
-	for _, name := range search.Names() {
-		if !strings.Contains(err.Error(), name) {
-			t.Errorf("error %q does not name valid strategy %q", err, name)
-		}
-	}
-	if SearchTopDown.String() != "topdown" || SearchGreedyBasic.String() != "greedy-basic" {
-		t.Error("search names broken")
-	}
-	if SearchKind("").String() != search.Default {
-		t.Error("zero SearchKind should name the default strategy")
-	}
-}
 
 func TestPlainGreedyKeepsRedundantIndexes(t *testing.T) {
 	// With no budget pressure, plain greedy adds every positive-benefit
@@ -55,10 +16,10 @@ func TestPlainGreedyKeepsRedundantIndexes(t *testing.T) {
 	cat := xmarkFixture(t, 250)
 	w := datagen.XMarkWorkload(14, 12)
 
-	unused := func(kind SearchKind) int {
+	unused := func(kind string) int {
 		opts := DefaultOptions()
-		opts.Search = kind
-		rec, err := New(cat, opts).Recommend(w)
+		opts.Strategy = kind
+		rec, err := recommend(New(cat, opts), w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,8 +31,8 @@ func TestPlainGreedyKeepsRedundantIndexes(t *testing.T) {
 		}
 		return len(rec.Config) - len(used)
 	}
-	plain := unused(SearchGreedyBasic)
-	heur := unused(SearchGreedyHeuristic)
+	plain := unused("greedy-basic")
+	heur := unused("greedy-heuristic")
 	if heur != 0 {
 		t.Errorf("heuristic search recommended %d unused indexes", heur)
 	}
@@ -84,14 +45,14 @@ func TestTopDownPrefersGeneralIndexes(t *testing.T) {
 	cat := xmarkFixture(t, 250)
 	w := datagen.XMarkWorkload(14, 13)
 
-	base, err := New(cat, DefaultOptions()).Recommend(w)
+	base, err := recommend(New(cat, DefaultOptions()), w)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts := DefaultOptions()
-	opts.Search = SearchTopDown
+	opts.Strategy = "topdown"
 	opts.DiskBudgetPages = search.PagesOf(base.Config) // generous budget
-	top, err := New(cat, opts).Recommend(w)
+	top, err := recommend(New(cat, opts), w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,9 +73,9 @@ func TestTopDownPrefersGeneralIndexes(t *testing.T) {
 func TestTopDownTerminatesOnTinyBudget(t *testing.T) {
 	cat := xmarkFixture(t, 120)
 	opts := DefaultOptions()
-	opts.Search = SearchTopDown
+	opts.Strategy = "topdown"
 	opts.DiskBudgetPages = 1
-	rec, err := New(cat, opts).Recommend(datagen.XMarkWorkload(8, 14))
+	rec, err := recommend(New(cat, opts), datagen.XMarkWorkload(8, 14))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,17 +88,17 @@ func TestRaceMatchesBestMember(t *testing.T) {
 	cat := xmarkFixture(t, 200)
 	w := datagen.XMarkWorkload(12, 15)
 
-	base, err := New(cat, DefaultOptions()).Recommend(w)
+	base, err := recommend(New(cat, DefaultOptions()), w)
 	if err != nil {
 		t.Fatal(err)
 	}
 	budget := base.TotalPages / 2
 	bestNet := -1.0
-	for _, kind := range []SearchKind{SearchGreedyBasic, SearchGreedyHeuristic, SearchTopDown} {
+	for _, kind := range []string{"greedy-basic", "greedy-heuristic", "topdown"} {
 		opts := DefaultOptions()
-		opts.Search = kind
+		opts.Strategy = kind
 		opts.DiskBudgetPages = budget
-		rec, err := New(cat, opts).Recommend(w)
+		rec, err := recommend(New(cat, opts), w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,9 +107,9 @@ func TestRaceMatchesBestMember(t *testing.T) {
 		}
 	}
 	opts := DefaultOptions()
-	opts.Search = SearchRace
+	opts.Strategy = "race"
 	opts.DiskBudgetPages = budget
-	rec, err := New(cat, opts).Recommend(w)
+	rec, err := recommend(New(cat, opts), w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,18 +137,18 @@ func TestPreparedBudgetSweepMatchesFullRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := prep.RecommendWith(ctx, SearchGreedyHeuristic, 0)
+	full, err := prep.RecommendWith(ctx, "greedy-heuristic", 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, budget := range []int64{0, full.TotalPages / 2, full.TotalPages / 4} {
-		swept, err := prep.RecommendWith(ctx, SearchGreedyHeuristic, budget)
+		swept, err := prep.RecommendWith(ctx, "greedy-heuristic", budget, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		opts := DefaultOptions()
 		opts.DiskBudgetPages = budget
-		fresh, err := New(cat, opts).Recommend(w)
+		fresh, err := recommend(New(cat, opts), w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,11 +172,11 @@ func TestCompressedWorkloadSameRecommendation(t *testing.T) {
 	if len(compressed.Queries) >= len(big.Queries) {
 		t.Fatalf("compression did not shrink: %d vs %d", len(compressed.Queries), len(big.Queries))
 	}
-	recBig, err := New(cat, DefaultOptions()).Recommend(big)
+	recBig, err := recommend(New(cat, DefaultOptions()), big)
 	if err != nil {
 		t.Fatal(err)
 	}
-	recSmall, err := New(cat, DefaultOptions()).Recommend(compressed)
+	recSmall, err := recommend(New(cat, DefaultOptions()), compressed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,31 +193,5 @@ func TestCompressedWorkloadSameRecommendation(t *testing.T) {
 	// pipeline and per-query derivation.
 	if recSmall.Evaluations > recBig.Evaluations {
 		t.Errorf("compression increased evaluations: %d vs %d", recSmall.Evaluations, recBig.Evaluations)
-	}
-}
-
-func TestRecommendationJSONExport(t *testing.T) {
-	cat := xmarkFixture(t, 120)
-	rec, err := New(cat, DefaultOptions()).Recommend(datagen.XMarkPaperWorkload())
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := json.Marshal(rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := string(data)
-	for _, want := range []string{`"ddl"`, `"dag"`, `"edges"`, `"netBenefit"`, `"perQuery"`,
-		`"traceEvents"`, `"search"`, `"strategy"`, "/site/regions/*/item/quantity"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("JSON missing %q", want)
-		}
-	}
-	var back map[string]interface{}
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatalf("exported JSON does not parse: %v", err)
-	}
-	if _, ok := back["dag"].(map[string]interface{}); !ok {
-		t.Error("dag not an object")
 	}
 }

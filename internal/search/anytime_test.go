@@ -50,7 +50,7 @@ func TestRaceAnytimeDeadline(t *testing.T) {
 
 	// Reference run: no deadline, members only (exclude the blocking
 	// one by racing on a space whose winner we compute serially).
-	heuristic, err := prep.RecommendWith(context.Background(), core.SearchGreedyHeuristic, 0)
+	heuristic, err := prep.RecommendWith(context.Background(), "greedy-heuristic", 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestRaceAnytimeDeadline(t *testing.T) {
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
 		defer cancel()
-		rec, err := aprep.RecommendWith(ctx, core.SearchRace, 0)
+		rec, err := aprep.RecommendWith(ctx, "race", 0, nil)
 		if err != nil {
 			t.Fatalf("anytime recommendation failed at deadline: %v", err)
 		}

@@ -36,7 +36,7 @@ func benchmarkSpace(b *testing.B) *search.Space {
 			benchErr = err
 			return
 		}
-		full, err := prep.RecommendWith(ctx, core.SearchGreedyHeuristic, 0)
+		full, err := prep.RecommendWith(ctx, "greedy-heuristic", 0, nil)
 		if err != nil {
 			benchErr = err
 			return

@@ -4,7 +4,7 @@ import (
 	"context"
 	"testing"
 
-	"repro/advisor"
+	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/search"
 	"repro/internal/whatif"
@@ -93,12 +93,11 @@ func BenchmarkWhatifProjection(b *testing.B) {
 					b.ReportAllocs()
 					for i := 0; i < b.N; i++ {
 						b.StopTimer()
-						a, err := advisor.New(env.Cat, advisor.WithProjection(v.on))
-						if err != nil {
-							b.Fatal(err)
-						}
+						opts := core.DefaultOptions()
+						opts.NoProjection = !v.on
+						a := core.New(env.Cat, opts)
 						b.StartTimer()
-						rec, err := a.Recommend(ctx, w, advisor.RecommendRequest{})
+						rec, _, err := a.RecommendFull(ctx, w, opts.Strategy, opts.DiskBudgetPages, nil)
 						if err != nil {
 							b.Fatal(err)
 						}

@@ -72,12 +72,12 @@ func TestProjectionDifferentialRealWorkloads(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, kind := range []core.SearchKind{core.SearchGreedyHeuristic, core.SearchTopDown, core.SearchGreedyBasic} {
-				p, err := projPrep.RecommendWith(ctx, kind, 0)
+			for _, kind := range []string{"greedy-heuristic", "topdown", "greedy-basic"} {
+				p, err := projPrep.RecommendWith(ctx, kind, 0, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				b, err := basePrep.RecommendWith(ctx, kind, 0)
+				b, err := basePrep.RecommendWith(ctx, kind, 0, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

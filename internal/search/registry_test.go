@@ -55,6 +55,15 @@ func TestLookupErrorEnumeratesStrategies(t *testing.T) {
 			t.Errorf("error does not enumerate %q: %q", name, msg)
 		}
 	}
+	if _, err := Canonical("simulated-annealing"); err == nil {
+		t.Error("Canonical accepted an unknown strategy")
+	} else {
+		for _, name := range Names() {
+			if !strings.Contains(err.Error(), name) {
+				t.Errorf("Canonical error does not enumerate %q: %q", name, err)
+			}
+		}
+	}
 }
 
 func TestRatioHandlesZeroPages(t *testing.T) {

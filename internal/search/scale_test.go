@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/search"
 )
 
@@ -62,7 +61,7 @@ func TestLazyMatchesEagerOnWorkloads(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			full, err := prep.RecommendWith(ctx, core.SearchGreedyHeuristic, 0)
+			full, err := prep.RecommendWith(ctx, "greedy-heuristic", 0, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -182,15 +182,6 @@ type Space struct {
 	// because an aborted member's partial result is no longer
 	// byte-identical to running it serially.
 	RaceCostBound bool
-	// LPMaxPasses caps the lp strategy's dual coordinate-descent
-	// passes (0 = the solver default). Fewer passes loosen the LP
-	// bound but never invalidate it.
-	LPMaxPasses int
-	// LPRepairRounds caps the lp strategy's what-if repair rounds
-	// after rounding (0 = the default, negative = no repair). Each
-	// round may drop unused members and add one candidate priced by
-	// real marginal evaluations.
-	LPRepairRounds int
 	// leader is the shared race leader board, set on the per-member
 	// space copies by the race strategy when RaceCostBound is on.
 	leader *leaderBoard

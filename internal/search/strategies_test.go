@@ -62,7 +62,7 @@ func TestStrategyProperties(t *testing.T) {
 			}
 			// Budget at half the unconstrained heuristic configuration,
 			// so the budget constraint actually binds.
-			full, err := prep.RecommendWith(ctx, core.SearchGreedyHeuristic, 0)
+			full, err := prep.RecommendWith(ctx, "greedy-heuristic", 0, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -170,7 +170,7 @@ func TestBudgetSweepSharesTheSpace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := prep.RecommendWith(ctx, core.SearchTopDown, 0)
+	full, err := prep.RecommendWith(ctx, "topdown", 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
