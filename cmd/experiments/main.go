@@ -35,34 +35,14 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	type exp struct {
-		name string
-		fn   func(*experiments.Env) (string, error)
-	}
-	exps := []exp{
-		{"E1", experiments.E1EnumerateIndexes},
-		{"E2", experiments.E2EvaluateIndexes},
-		{"E3", experiments.E3GeneralizationDAG},
-		{"E4", experiments.E4RecommendationAnalysis},
-		{"E5", experiments.E5UnseenWorkload},
-		{"E6", experiments.E6SearchStrategies},
-		{"E7", experiments.E7UpdateCost},
-		{"E8", experiments.E8ActualExecution},
-		{"E9", experiments.E9CouplingAblation},
-		{"E10", experiments.E10InteractionAblation},
-		{"E11", experiments.E11AdvisorScalability},
-		{"E12", experiments.E12ParallelWhatIf},
-		{"E13", experiments.E13RuleAblation},
-		{"E14", experiments.E14StrategyPortfolio},
-	}
 	ran := 0
-	for _, e := range exps {
-		if *only != "" && !strings.EqualFold(*only, e.name) {
+	for _, e := range experiments.Experiments {
+		if *only != "" && !strings.EqualFold(*only, e.Name) {
 			continue
 		}
-		rep, err := e.fn(env)
+		rep, err := e.Run(env)
 		if err != nil {
-			fatal(fmt.Errorf("%s: %w", e.name, err))
+			fatal(fmt.Errorf("%s: %w", e.Name, err))
 		}
 		fmt.Printf("%s\n%s\n", strings.Repeat("=", 78), rep)
 		ran++

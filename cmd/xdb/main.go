@@ -47,6 +47,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/datagen"
 	"repro/internal/executor"
+	"repro/internal/experiments"
 	"repro/internal/optimizer"
 	"repro/internal/pattern"
 	"repro/internal/querylang"
@@ -584,9 +585,8 @@ func (s *shell) cmdCandidates(rest string) error {
 // side-by-side: one advisor prepares the candidate space once (or the
 // deterministic synthetic generator builds it), then each strategy
 // searches it at the same budget. The evals column is each strategy's
-// exact what-if call count. The synthetic table adds the eager
-// greedy-heuristic baseline and the cost-bounded race, which is where
-// lazy-vs-eager shows.
+// exact what-if call count. The synthetic table adds the cost-bounded
+// race. The rows come from the runner behind experiment E14.
 func (s *shell) cmdSearch(rest string) error {
 	fields := strings.Fields(rest)
 	if len(fields) >= 1 && fields[0] == "-synthetic" {
@@ -605,8 +605,8 @@ func (s *shell) cmdSearch(rest string) error {
 	}
 	var budget int64
 	if len(fields) == 2 {
-		if budget, err = strconv.ParseInt(fields[1], 10, 64); err != nil {
-			return fmt.Errorf("bad budget: %v", err)
+		if budget, err = parseBudget(fields[1]); err != nil {
+			return err
 		}
 	}
 	ctx := context.Background()
@@ -619,31 +619,20 @@ func (s *shell) cmdSearch(rest string) error {
 		return err
 	}
 	defer sess.Close()
-	s.searchTableHeader()
-	for _, name := range advisor.Strategies() {
-		resp, err := sess.Recommend(ctx, advisor.RecommendRequest{Strategy: name, BudgetPages: budget})
-		if err != nil {
-			return err
-		}
-		note := ""
-		if resp.Search.Winner != "" {
-			note = "winner " + resp.Search.Winner
-		}
-		if lps := resp.Search.LP; lps != nil {
-			note = fmt.Sprintf("lp objective %.1f, bound %.1f, %d passes", lps.Objective, lps.Bound, lps.Passes)
-		}
-		s.searchTableRow(name, len(resp.Indexes), resp.TotalPages, resp.NetBenefit, resp.Search.Rounds,
-			resp.Search.Elapsed, resp.Search.Evals, resp.Cache.Hits, note)
+	rows, err := experiments.SessionRows(ctx, sess, budget)
+	if err != nil {
+		return err
 	}
+	s.searchTable(rows)
 	return nil
 }
 
 // cmdSearchSynthetic drives the deterministic synthetic candidate-space
 // generator ("search -synthetic n=N [seed=S] [budget-pages]"): no
 // documents, no optimizer — just the search layer at scale, with the
-// eager baseline and the cost-bounded race alongside the registered
-// strategies. The generator seed defaults to 42 (the benchmark spaces)
-// and is always echoed, so any printed table can be reproduced.
+// cost-bounded race alongside the registered strategies. The generator
+// seed defaults to 42 (the benchmark spaces) and is always echoed, so
+// any printed table can be reproduced.
 func (s *shell) cmdSearchSynthetic(fields []string) error {
 	usage := fmt.Errorf("usage: search -synthetic n=N [seed=S] [budget-pages]")
 	if len(fields) < 1 {
@@ -668,60 +657,33 @@ func (s *shell) cmdSearchSynthetic(fields []string) error {
 	}
 	sp := search.NewSyntheticSpace(n, seed)
 	if len(rest) == 1 {
-		budget, err := strconv.ParseInt(rest[0], 10, 64)
+		budget, err := parseBudget(rest[0])
 		if err != nil {
-			return fmt.Errorf("bad budget: %v", err)
+			return err
 		}
 		sp = sp.WithBudget(budget)
 	}
 	fmt.Fprintf(s.out, "synthetic space: %d candidates (%d DAG roots), budget %d pages, seed %d\n",
 		len(sp.Candidates), len(sp.DAG.Roots), sp.BudgetPages, seed)
-	ctx := context.Background()
-	run := func(name string, tune func(*search.Space), note string) error {
-		stratName := name
-		switch name {
-		case "greedy-eager":
-			stratName = "greedy-heuristic"
-		case "race-bounded":
-			stratName = "race"
-		}
-		strat, err := search.Lookup(stratName)
-		if err != nil {
-			return err
-		}
-		view := sp.WithBudget(sp.BudgetPages)
-		if tune != nil {
-			tune(view)
-		}
-		res, err := strat.Search(ctx, view)
-		if err != nil {
-			return err
-		}
-		if res.Stats.Winner != "" {
-			note = "winner " + res.Stats.Winner
-			for _, m := range res.Members {
-				if m.Aborted {
-					note += ", " + m.Strategy + " aborted"
-				}
-			}
-		}
-		if lps := res.Stats.LP; lps != nil {
-			note = fmt.Sprintf("lp objective %.1f, bound %.1f, %d passes", lps.Objective, lps.Bound, lps.Passes)
-		}
-		s.searchTableRow(name, len(res.Config), res.Pages, res.Eval.Net, res.Stats.Rounds,
-			res.Stats.Elapsed, res.Stats.Evals, res.Stats.Cache.Hits, note)
-		return nil
-	}
-	s.searchTableHeader()
-	for _, name := range search.Names() {
-		if err := run(name, nil, ""); err != nil {
-			return err
-		}
-	}
-	if err := run("greedy-eager", func(v *search.Space) { v.EagerGreedy = true }, "eager marginal scan"); err != nil {
+	rows, err := experiments.SyntheticRows(context.Background(), sp)
+	if err != nil {
 		return err
 	}
-	return run("race-bounded", func(v *search.Space) { v.RaceCostBound = true }, "")
+	s.searchTable(rows)
+	return nil
+}
+
+// parseBudget reads a budget in pages: 0 means unlimited, and a
+// negative budget is an error rather than a silent "unlimited".
+func parseBudget(arg string) (int64, error) {
+	v, err := strconv.ParseInt(arg, 10, 64)
+	if err != nil {
+		return 0, fmt.Errorf("bad budget: %v", err)
+	}
+	if v < 0 {
+		return 0, fmt.Errorf("bad budget %d: must be >= 0 (0 = unlimited)", v)
+	}
+	return v, nil
 }
 
 // cmdSnapshot is the durable-session toolbox:
@@ -751,9 +713,9 @@ func (s *shell) cmdSnapshot(rest string) error {
 			return usage
 		}
 		if len(fields) == 3 {
-			v, err := strconv.ParseInt(fields[2], 10, 64)
+			v, err := parseBudget(fields[2])
 			if err != nil {
-				return fmt.Errorf("bad budget: %v", err)
+				return err
 			}
 			budget = v
 		}
@@ -863,13 +825,25 @@ func (s *shell) snapshotInspect(path string) error {
 	return nil
 }
 
-func (s *shell) searchTableHeader() {
+// searchTable prints one row per strategy. Notes name the race winner
+// and any aborted member, or summarize the lp solve.
+func (s *shell) searchTable(rows []experiments.StrategyRow) {
 	fmt.Fprintf(s.out, "%-17s %5s %8s %12s %7s %9s %8s %8s  %s\n",
 		"strategy", "#idx", "pages", "net benefit", "rounds", "time", "evals", "hits", "notes")
-}
-
-func (s *shell) searchTableRow(name string, idx int, pages int64, net float64, rounds int,
-	elapsed time.Duration, evals, hits int64, note string) {
-	fmt.Fprintf(s.out, "%-17s %5d %8d %12.1f %7d %9v %8d %8d  %s\n",
-		name, idx, pages, net, rounds, elapsed.Round(time.Millisecond), evals, hits, note)
+	for _, r := range rows {
+		note := ""
+		if r.Search.Winner != "" {
+			note = "winner " + r.Search.Winner
+			for _, m := range r.Search.Members {
+				if m.Aborted {
+					note += ", " + m.Strategy + " aborted"
+				}
+			}
+		}
+		if lps := r.Search.LP; lps != nil {
+			note = fmt.Sprintf("lp objective %.1f, bound %.1f, %d passes", lps.Objective, lps.Bound, lps.Passes)
+		}
+		fmt.Fprintf(s.out, "%-17s %5d %8d %12.1f %7d %9v %8d %8d  %s\n", r.Name, r.Indexes, r.Pages, r.Net,
+			r.Search.Rounds, r.Search.Elapsed.Round(time.Millisecond), r.Search.Evals, r.Cache.Hits, note)
+	}
 }

@@ -239,7 +239,7 @@ type QueryAnalysis struct {
 // Recommendation is the advisor's output.
 type Recommendation struct {
 	// Config is the recommended configuration.
-	Config []*Candidate
+	Config []*candidate.Candidate
 	// DDL holds one CREATE INDEX statement per recommended index.
 	DDL []string
 	// Names holds the public index name (XIA_IDX<n>) per recommended
@@ -257,8 +257,8 @@ type Recommendation struct {
 	// PerQuery is the recommendation analysis (Figure 5).
 	PerQuery []QueryAnalysis
 	// Basics and DAG expose the candidate space (Figure 4).
-	Basics []*Candidate
-	DAG    *DAG
+	Basics []*candidate.Candidate
+	DAG    *candidate.DAG
 	// Gen holds the candidate pipeline's stats for this run:
 	// enumerated/generalized/deduped/pruned counts, per-rule counters,
 	// and the pipeline wall time.
@@ -320,7 +320,7 @@ func (a *Advisor) RecommendFull(ctx context.Context, w *workload.Workload, strat
 	return rec, p, nil
 }
 
-func catalogDDL(name string, c *Candidate) string {
+func catalogDDL(name string, c *candidate.Candidate) string {
 	d := *c.Def
 	d.Name = name
 	return d.DDL()

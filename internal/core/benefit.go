@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 
+	"repro/internal/candidate"
 	"repro/internal/catalog"
 	"repro/internal/pattern"
 	"repro/internal/search"
@@ -87,7 +88,7 @@ func (a *Advisor) newEvaluator(ctx context.Context, w *workload.Workload) (*eval
 // eval returns the evaluation of a configuration. The underlying
 // per-query costs are memoized by the whatif engine; the derivation here
 // is cheap (no optimizer calls).
-func (ev *evaluator) eval(ctx context.Context, cfg []*Candidate) (*configEval, error) {
+func (ev *evaluator) eval(ctx context.Context, cfg []*candidate.Candidate) (*configEval, error) {
 	defs := make([]*catalog.IndexDef, len(cfg))
 	for i, c := range cfg {
 		defs[i] = c.Def
@@ -103,18 +104,18 @@ func (ev *evaluator) eval(ctx context.Context, cfg []*Candidate) (*configEval, e
 // the whole burst goes to the whatif engine's batch entry point in one
 // dispatch, then each result gets the same cheap derivation as eval.
 // Results are in cands order.
-func (ev *evaluator) evalBatch(ctx context.Context, base, cands []*Candidate) ([]*configEval, error) {
+func (ev *evaluator) evalBatch(ctx context.Context, base, cands []*candidate.Candidate) ([]*configEval, error) {
 	baseDefs := make([]*catalog.IndexDef, len(base))
 	for i, c := range base {
 		baseDefs[i] = c.Def
 	}
 	configs := make([][]*catalog.IndexDef, len(cands))
-	cfgs := make([][]*Candidate, len(cands))
+	cfgs := make([][]*candidate.Candidate, len(cands))
 	for i, c := range cands {
 		defs := make([]*catalog.IndexDef, 0, len(base)+1)
 		defs = append(append(defs, baseDefs...), c.Def)
 		configs[i] = defs
-		cfg := make([]*Candidate, 0, len(base)+1)
+		cfg := make([]*candidate.Candidate, 0, len(base)+1)
 		cfgs[i] = append(append(cfg, base...), c)
 	}
 	results, err := ev.bound.EvaluateConfigBatch(ctx, configs)
@@ -136,7 +137,7 @@ func (ev *evaluator) evalBatch(ctx context.Context, base, cands []*Candidate) ([
 // locally computed maintenance cost is charged. For the empty
 // configuration this is exact; otherwise it underclaims, never
 // overclaims.
-func (ev *evaluator) degradedEval(cfg []*Candidate) *configEval {
+func (ev *evaluator) degradedEval(cfg []*candidate.Candidate) *configEval {
 	out := &configEval{
 		queryCost: append([]float64(nil), ev.baseCost...),
 		usedBy:    make([][]int, len(ev.baseCost)),
@@ -150,7 +151,7 @@ func (ev *evaluator) degradedEval(cfg []*Candidate) *configEval {
 // derive turns the engine's per-query costs into the workload-level
 // aggregates (weighted benefit, update cost, candidate usage). No
 // optimizer calls.
-func (ev *evaluator) derive(res *whatif.ConfigEval, cfg []*Candidate) *configEval {
+func (ev *evaluator) derive(res *whatif.ConfigEval, cfg []*candidate.Candidate) *configEval {
 	defByName := make(map[string]int, len(cfg))
 	for _, c := range cfg {
 		defByName[c.Def.Name] = c.ID
@@ -183,7 +184,7 @@ type searchEvaluator struct {
 }
 
 // Evaluate prices the configuration for the search layer.
-func (s searchEvaluator) Evaluate(ctx context.Context, cfg []*Candidate) (*search.Eval, error) {
+func (s searchEvaluator) Evaluate(ctx context.Context, cfg []*candidate.Candidate) (*search.Eval, error) {
 	e, err := s.ev.eval(ctx, cfg)
 	if err != nil {
 		return nil, err
@@ -221,7 +222,7 @@ func (s searchEvaluator) Workers() int { return s.ev.a.cost.Workers() }
 // updateCost charges each update statement for the index entries it
 // would add or remove in every configuration index (paper §1: "taking
 // into account the cost of updating the index on data modification").
-func (ev *evaluator) updateCost(cfg []*Candidate) float64 {
+func (ev *evaluator) updateCost(cfg []*candidate.Candidate) float64 {
 	if len(ev.w.Updates) == 0 {
 		return 0
 	}
@@ -267,7 +268,7 @@ func (ev *evaluator) updateCost(cfg []*Candidate) float64 {
 // candidate c's pattern; updateCost runs once per configuration
 // evaluation, so the docScope rendering and kernel lookup are paid at
 // most once per pair.
-func (ev *evaluator) deleteOverlaps(ui int, scope pattern.Pattern, c *Candidate) bool {
+func (ev *evaluator) deleteOverlaps(ui int, scope pattern.Pattern, c *candidate.Candidate) bool {
 	key := [2]int{ui, c.ID}
 	ev.entryMu.Lock()
 	v, ok := ev.delOverlap[key]
@@ -284,7 +285,7 @@ func (ev *evaluator) deleteOverlaps(ui int, scope pattern.Pattern, c *Candidate)
 
 // docEntries is the memoized entry count of update ui's sample document
 // in candidate c's index.
-func (ev *evaluator) docEntries(ui int, c *Candidate) int {
+func (ev *evaluator) docEntries(ui int, c *candidate.Candidate) int {
 	key := [2]int{ui, c.ID}
 	ev.entryMu.Lock()
 	n, ok := ev.entryCount[key]
@@ -333,7 +334,7 @@ func docNodes(d *xmldoc.Document) []docNode {
 // docNodes) would contribute to candidate c — exact maintenance work
 // for the insert. A node's value is read only when c's pattern matches
 // it.
-func docEntriesFor(nodes []docNode, c *Candidate) int {
+func docEntriesFor(nodes []docNode, c *candidate.Candidate) int {
 	m := pattern.InternedMatcher(c.Pattern)
 	n := 0
 	for _, dn := range nodes {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/candidate"
 	"repro/internal/catalog"
 	"repro/internal/datagen"
 	"repro/internal/pattern"
@@ -19,7 +20,7 @@ import (
 // the document, render and match each node's rooted path, and cast
 // each node's value. It is the oracle for docEntriesFor, which matches
 // words parsed once per document and reads values only on a match.
-func walkDocEntries(d *xmldoc.Document, c *Candidate) int {
+func walkDocEntries(d *xmldoc.Document, c *candidate.Candidate) int {
 	m := pattern.Compile(c.Pattern)
 	n := 0
 	d.Walk(func(nd *xmldoc.Node) bool {
@@ -94,7 +95,7 @@ func TestDocEntriesMatchWalk(t *testing.T) {
 // first principles — uncached pattern.Overlaps, per-call Compile — as
 // the oracle for the kernel-backed updateCost path (OverlapsCached,
 // interned matchers, memoized entry counts).
-func referenceUpdateCost(t *testing.T, a *Advisor, w *workload.Workload, cfg []*Candidate) float64 {
+func referenceUpdateCost(t *testing.T, a *Advisor, w *workload.Workload, cfg []*candidate.Candidate) float64 {
 	t.Helper()
 	var total float64
 	for _, u := range w.Updates {

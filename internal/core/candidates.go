@@ -26,13 +26,6 @@ import (
 	"repro/internal/candidate"
 )
 
-// Candidate is one candidate index in the advisor's search space,
-// produced by the internal/candidate pipeline.
-type Candidate = candidate.Candidate
-
-// DAG is the candidate generalization DAG (paper §2.2, Figure 4).
-type DAG = candidate.DAG
-
 // EnumerationMode selects how basic candidates are obtained.
 type EnumerationMode uint8
 

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/candidate"
 	"repro/internal/datagen"
 	"repro/internal/pattern"
 	"repro/internal/workload"
@@ -73,7 +74,7 @@ func TestDAGRootsHaveNoParents(t *testing.T) {
 func TestCoversBitmapMatchesContainment(t *testing.T) {
 	rec := recommendWith(t, DefaultOptions(), datagen.XMarkPaperWorkload())
 	// Rebuild the basic index ordering used by generalize().
-	var basics []*Candidate
+	var basics []*candidate.Candidate
 	for _, c := range rec.DAG.Nodes {
 		if c.Basic {
 			basics = append(basics, c)

@@ -134,7 +134,7 @@ func (p *Prepared) buildSnapshot() (*snapshot.Snapshot, error) {
 		s.Patterns = append(s.Patterns, key)
 		return id
 	}
-	pos := make(map[*Candidate]int32, len(p.set.All))
+	pos := make(map[*candidate.Candidate]int32, len(p.set.All))
 	for i, c := range p.set.All {
 		pos[c] = int32(i)
 	}
@@ -272,7 +272,7 @@ func (a *Advisor) restorePrepared(ctx context.Context, snap *snapshot.Snapshot) 
 		pats[i] = pt
 	}
 
-	all := make([]*Candidate, len(snap.Space.Candidates))
+	all := make([]*candidate.Candidate, len(snap.Space.Candidates))
 	children := make([][]int32, len(snap.Space.Candidates))
 	for i, cd := range snap.Space.Candidates {
 		ty, err := sqltype.ParseType(cd.Type)
@@ -280,7 +280,7 @@ func (a *Advisor) restorePrepared(ctx context.Context, snap *snapshot.Snapshot) 
 			return nil, invalidf("candidate %d type %q: %v", i, cd.Type, err)
 		}
 		pt := pats[cd.PatternID]
-		c := &Candidate{
+		c := &candidate.Candidate{
 			Collection: cd.Collection,
 			Pattern:    pt,
 			Type:       ty,

@@ -93,7 +93,7 @@ func (a *Advisor) assemble(ctx context.Context, w *workload.Workload, set *candi
 }
 
 // defsOfCandidates extracts the candidates' index definitions.
-func defsOfCandidates(cands []*Candidate) []*catalog.IndexDef {
+func defsOfCandidates(cands []*candidate.Candidate) []*catalog.IndexDef {
 	defs := make([]*catalog.IndexDef, len(cands))
 	for i, c := range cands {
 		defs[i] = c.Def
@@ -130,7 +130,7 @@ func (p *Prepared) BenefitMatrix(ctx context.Context) (*whatif.BenefitMatrix, er
 		configs := make([][]*catalog.IndexDef, len(p.set.All))
 		for i, c := range p.set.All {
 			configs[i] = []*catalog.IndexDef{c.Def}
-			m.Update[i] = p.ev.updateCost([]*Candidate{c})
+			m.Update[i] = p.ev.updateCost([]*candidate.Candidate{c})
 		}
 		results, err := p.ev.bound.EvaluateConfigBatch(ctx, configs)
 		if err != nil {
@@ -180,10 +180,10 @@ func (p *Prepared) Space() *search.Space { return p.space }
 
 // Basics exposes the deduplicated basic candidates of the prepared
 // space.
-func (p *Prepared) Basics() []*Candidate { return p.set.Basics }
+func (p *Prepared) Basics() []*candidate.Candidate { return p.set.Basics }
 
 // DAG exposes the containment DAG over the prepared candidate space.
-func (p *Prepared) DAG() *DAG { return p.set.DAG }
+func (p *Prepared) DAG() *candidate.DAG { return p.set.DAG }
 
 // CandidateStats exposes the candidate pipeline's stats for the
 // prepared space.
@@ -235,7 +235,7 @@ func (p *Prepared) recommend(ctx context.Context, strategy string, budgetPages i
 	rec := &Recommendation{
 		// The result's config may be shared with a portfolio member;
 		// copy before sorting.
-		Config:      append([]*Candidate(nil), res.Config...),
+		Config:      append([]*candidate.Candidate(nil), res.Config...),
 		Basics:      p.set.Basics,
 		DAG:         p.set.DAG,
 		Gen:         p.set.Stats,

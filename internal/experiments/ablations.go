@@ -152,40 +152,26 @@ func E13RuleAblation(env *Env) (string, error) {
 	return t.String(), nil
 }
 
-// All runs every experiment at the given scale, returning the reports in
-// order E1..E14.
-func All(s Scale) ([]string, error) {
-	env, err := BuildEnv(s)
-	if err != nil {
-		return nil, err
-	}
-	type exp struct {
-		name string
-		fn   func(*Env) (string, error)
-	}
-	exps := []exp{
-		{"E1", E1EnumerateIndexes},
-		{"E2", E2EvaluateIndexes},
-		{"E3", E3GeneralizationDAG},
-		{"E4", E4RecommendationAnalysis},
-		{"E5", E5UnseenWorkload},
-		{"E6", E6SearchStrategies},
-		{"E7", E7UpdateCost},
-		{"E8", E8ActualExecution},
-		{"E9", E9CouplingAblation},
-		{"E10", E10InteractionAblation},
-		{"E11", E11AdvisorScalability},
-		{"E12", E12ParallelWhatIf},
-		{"E13", E13RuleAblation},
-		{"E14", E14StrategyPortfolio},
-	}
-	var out []string
-	for _, e := range exps {
-		rep, err := e.fn(env)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, rep)
-	}
-	return out, nil
+// Experiment is one reproduced table or figure, by its E-number.
+type Experiment struct {
+	Name string
+	Run  func(*Env) (string, error)
+}
+
+// Experiments lists every experiment in order E1..E14.
+var Experiments = []Experiment{
+	{"E1", E1EnumerateIndexes},
+	{"E2", E2EvaluateIndexes},
+	{"E3", E3GeneralizationDAG},
+	{"E4", E4RecommendationAnalysis},
+	{"E5", E5UnseenWorkload},
+	{"E6", E6SearchStrategies},
+	{"E7", E7UpdateCost},
+	{"E8", E8ActualExecution},
+	{"E9", E9CouplingAblation},
+	{"E10", E10InteractionAblation},
+	{"E11", E11AdvisorScalability},
+	{"E12", E12ParallelWhatIf},
+	{"E13", E13RuleAblation},
+	{"E14", E14StrategyPortfolio},
 }

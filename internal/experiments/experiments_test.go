@@ -226,7 +226,7 @@ func TestE14(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"race", "greedy-heuristic", "topdown", "winner", "xmark", "tpox",
-		"syn-1k", "syn-10k", "greedy-eager", "race-bounded"} {
+		"syn-1k", "syn-10k", "race-bounded"} {
 		if !strings.Contains(rep, want) {
 			t.Errorf("missing %q in:\n%s", want, rep)
 		}
@@ -247,20 +247,18 @@ func TestE14(t *testing.T) {
 	}
 }
 
-func TestAllRunsEveryExperiment(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
+// TestExperimentsListed checks the shared experiment list without
+// running it: every experiment already runs in its own TestE<n>.
+func TestExperimentsListed(t *testing.T) {
+	if len(Experiments) != 14 {
+		t.Fatalf("Experiments holds %d entries, want 14", len(Experiments))
 	}
-	reports, err := All(Small)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reports) != 14 {
-		t.Fatalf("All returned %d reports, want 14", len(reports))
-	}
-	for i, r := range reports {
-		if r == "" {
-			t.Errorf("report %d empty", i)
+	for i, e := range Experiments {
+		if want := fmt.Sprintf("E%d", i+1); e.Name != want {
+			t.Errorf("entry %d is %q, want %q", i, e.Name, want)
+		}
+		if e.Run == nil {
+			t.Errorf("%s has no function", e.Name)
 		}
 	}
 }

@@ -193,6 +193,12 @@ func E14StrategyPortfolio(env *Env) (string, error) {
 	ctx := context.Background()
 	t := newTable("E14: strategy portfolio — all registered strategies plus the race, half-overtrained budget",
 		"workload", "strategy", "#idx", "pages", "net benefit", "rounds", "search ms", "evals", "cache hit%", "proj hits", "winner")
+	add := func(wl string, rows []StrategyRow) {
+		for _, r := range rows {
+			t.add(wl, r.Name, r.Indexes, r.Pages, r.Net, r.Search.Rounds, r.Search.Elapsed.Milliseconds(),
+				r.Evaluations, 100*r.Cache.HitRate(), r.Cache.ProjectedHits, r.Search.Winner)
+		}
+	}
 	for _, wl := range []struct {
 		name string
 		w    *workload.Workload
@@ -209,52 +215,21 @@ func E14StrategyPortfolio(env *Env) (string, error) {
 			return "", err
 		}
 		defer sess.Close()
-		budget := over / 2
-		if budget < 1 {
-			budget = 1
+		rows, err := SessionRows(ctx, sess, max(over/2, 1))
+		if err != nil {
+			return "", err
 		}
-		for _, name := range advisor.Strategies() {
-			rec, err := sess.Recommend(ctx, advisor.RecommendRequest{Strategy: name, BudgetPages: budget})
-			if err != nil {
-				return "", err
-			}
-			t.add(wl.name, name, len(rec.Indexes), rec.TotalPages, rec.NetBenefit, rec.Search.Rounds,
-				rec.Search.Elapsed.Milliseconds(), rec.Evaluations, 100*rec.Cache.HitRate(),
-				rec.Cache.ProjectedHits, rec.Search.Winner)
-		}
+		add(wl.name, rows)
 	}
 	// Synthetic scale section: the same portfolio question at candidate
-	// counts the real workloads cannot reach, where lazy-vs-eager and
-	// cost-bounded racing actually separate. Evals here are the exact
-	// per-strategy what-if call counts from Stats.
+	// counts the real workloads cannot reach, where cost-bounded racing
+	// actually separates. Evals here are the exact per-strategy what-if
+	// call counts from Stats.
 	for _, n := range []int{1000, 10000} {
-		sp := search.NewSyntheticSpace(n, 42)
 		wlName := fmt.Sprintf("syn-%dk", n/1000)
-		for _, variant := range []struct {
-			name string
-			base string
-			tune func(*search.Space)
-		}{
-			{"greedy-heuristic", "greedy-heuristic", nil},
-			{"greedy-eager", "greedy-heuristic", func(v *search.Space) { v.EagerGreedy = true }},
-			{"lp", "lp", nil},
-			{"race", "race", nil},
-			{"race-bounded", "race", func(v *search.Space) { v.RaceCostBound = true }},
-		} {
-			strat, err := search.Lookup(variant.base)
-			if err != nil {
-				return "", err
-			}
-			view := sp.WithBudget(sp.BudgetPages)
-			if variant.tune != nil {
-				variant.tune(view)
-			}
-			res, err := strat.Search(ctx, view)
-			if err != nil {
-				return "", err
-			}
-			t.add(wlName, variant.name, len(res.Config), res.Pages, res.Eval.Net, res.Stats.Rounds,
-				res.Stats.Elapsed.Milliseconds(), res.Stats.Evals, 0.0, int64(0), res.Stats.Winner)
+		rows, err := SyntheticRows(ctx, search.NewSyntheticSpace(n, 42))
+		if err != nil {
+			return "", err
 		}
 		// The same greedy search through the real what-if engine over the
 		// synthetic backend, with and without relevance projection — the
@@ -275,9 +250,70 @@ func E14StrategyPortfolio(env *Env) (string, error) {
 				return "", err
 			}
 			st := eng.Stats()
-			t.add(wlName, name, len(res.Config), res.Pages, res.Eval.Net, res.Stats.Rounds,
-				res.Stats.Elapsed.Milliseconds(), st.Evaluations, 100*st.HitRate(), st.ProjectedHits, "")
+			rows = append(rows, StrategyRow{Name: name, Indexes: len(res.Config), Pages: res.Pages,
+				Net: res.Eval.Net, Search: res.Stats, Cache: st, Evaluations: st.Evaluations})
 		}
+		add(wlName, rows)
 	}
 	return t.String(), nil
+}
+
+// StrategyRow is one strategy's outcome on one search space: a row of
+// the E14 portfolio table and of the `xdb search` table.
+type StrategyRow struct {
+	// Name is the strategy, or a variant such as "race-bounded".
+	Name    string
+	Indexes int
+	Pages   int64
+	Net     float64
+	// Search holds the rounds, wall time, the strategy's own evaluate
+	// calls, the race winner and members, and the lp solve summary.
+	Search search.Stats
+	// Cache is the run's what-if cache window; zero on a synthetic
+	// space, which has no engine.
+	Cache whatif.Stats
+	// Evaluations counts the what-if evaluations the run paid for:
+	// cache misses on a session, every evaluate call on a synthetic
+	// space.
+	Evaluations int64
+}
+
+// SessionRows runs every registered strategy on one advisor session at
+// one budget (0 = unlimited). The strategies share the session's
+// what-if cache.
+func SessionRows(ctx context.Context, sess *advisor.Session, budget int64) ([]StrategyRow, error) {
+	var rows []StrategyRow
+	for _, name := range advisor.Strategies() {
+		rec, err := sess.Recommend(ctx, advisor.RecommendRequest{Strategy: name, BudgetPages: budget})
+		if err != nil {
+			return nil, err
+		}
+		rows = append(rows, StrategyRow{Name: name, Indexes: len(rec.Indexes), Pages: rec.TotalPages,
+			Net: rec.NetBenefit, Search: rec.Search, Cache: rec.Cache, Evaluations: rec.Evaluations})
+	}
+	return rows, nil
+}
+
+// SyntheticRows runs every registered strategy over one synthetic
+// space, plus "race-bounded": the race under Space.RaceCostBound.
+func SyntheticRows(ctx context.Context, sp *search.Space) ([]StrategyRow, error) {
+	var rows []StrategyRow
+	for _, name := range append(search.Names(), "race-bounded") {
+		view := sp.WithBudget(sp.BudgetPages)
+		base := name
+		if name == "race-bounded" {
+			base, view.RaceCostBound = "race", true
+		}
+		strat, err := search.Lookup(base)
+		if err != nil {
+			return nil, err
+		}
+		res, err := strat.Search(ctx, view)
+		if err != nil {
+			return nil, err
+		}
+		rows = append(rows, StrategyRow{Name: name, Indexes: len(res.Config), Pages: res.Pages,
+			Net: res.Eval.Net, Search: res.Stats, Evaluations: res.Stats.Evals})
+	}
+	return rows, nil
 }

@@ -13,31 +13,25 @@ import (
 func TestMembersAbortAgainstUnbeatableLeader(t *testing.T) {
 	ctx := context.Background()
 	for _, strat := range []Strategy{greedyHeuristic{}, topDown{}} {
-		for _, eager := range []bool{false, true} {
-			if eager && strat.Name() != "greedy-heuristic" {
-				continue
+		sp := NewSyntheticSpace(400, 9).WithBudget(synBudgetPages)
+		sp.leader = newLeaderBoard()
+		sp.leader.publish(1e18)
+		res, err := strat.Search(ctx, sp)
+		if err != nil {
+			t.Fatalf("%s: %v", strat.Name(), err)
+		}
+		if !res.Aborted || !res.Stats.Aborted {
+			t.Errorf("%s: did not abort against an unbeatable leader", strat.Name())
+			continue
+		}
+		var found bool
+		for _, e := range res.Trace {
+			if e.Action == ActionAbort {
+				found = true
 			}
-			sp := NewSyntheticSpace(400, 9).WithBudget(synBudgetPages)
-			sp.EagerGreedy = eager
-			sp.leader = newLeaderBoard()
-			sp.leader.publish(1e18)
-			res, err := strat.Search(ctx, sp)
-			if err != nil {
-				t.Fatalf("%s: %v", strat.Name(), err)
-			}
-			if !res.Aborted || !res.Stats.Aborted {
-				t.Errorf("%s (eager=%v): did not abort against an unbeatable leader", strat.Name(), eager)
-				continue
-			}
-			var found bool
-			for _, e := range res.Trace {
-				if e.Action == ActionAbort {
-					found = true
-				}
-			}
-			if !found {
-				t.Errorf("%s (eager=%v): aborted result has no %q trace event", strat.Name(), eager, ActionAbort)
-			}
+		}
+		if !found {
+			t.Errorf("%s: aborted result has no %q trace event", strat.Name(), ActionAbort)
 		}
 	}
 }

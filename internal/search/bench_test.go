@@ -71,7 +71,7 @@ func syntheticSpace(b *testing.B, n int) *search.Space {
 
 // BenchmarkSearchScale is the scale trajectory behind BENCH_search.json:
 // the synthetic candidate space at 1k/10k/50k candidates, comparing the
-// lazy-greedy heap against the eager baseline, the lp relaxation
+// lazy-greedy heap against the eager oracle, the lp relaxation
 // against lazy greedy, and the cost-bounded race against the plain
 // portfolio. evals/op is each strategy's exact what-if call count
 // (Stats.Evals), the quantity the lazy path (and, far more so, the lp
@@ -80,16 +80,23 @@ func syntheticSpace(b *testing.B, n int) *search.Space {
 // SEARCH_SCALE_FULL=1 to run them anyway (the BENCH_search.json
 // refresh does).
 func BenchmarkSearchScale(b *testing.B) {
+	lookup := func(name string) search.Strategy {
+		strat, err := search.Lookup(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return strat
+	}
 	variants := []struct {
 		name  string
-		strat string
+		strat search.Strategy
 		tune  func(*search.Space)
 	}{
-		{"greedy-eager", "greedy-heuristic", func(sp *search.Space) { sp.EagerGreedy = true }},
-		{"greedy-lazy", "greedy-heuristic", nil},
-		{"lp", "lp", nil},
-		{"race", "race", nil},
-		{"race-bounded", "race", func(sp *search.Space) { sp.RaceCostBound = true }},
+		{"greedy-eager", search.EagerGreedyOracle, nil},
+		{"greedy-lazy", lookup("greedy-heuristic"), nil},
+		{"lp", lookup("lp"), nil},
+		{"race", lookup("race"), nil},
+		{"race-bounded", lookup("race"), func(sp *search.Space) { sp.RaceCostBound = true }},
 	}
 	full := os.Getenv("SEARCH_SCALE_FULL") != ""
 	for _, sz := range []struct {
@@ -107,10 +114,6 @@ func BenchmarkSearchScale(b *testing.B) {
 				if sz.skip[v.name] && !full {
 					continue
 				}
-				strat, err := search.Lookup(v.strat)
-				if err != nil {
-					b.Fatal(err)
-				}
 				b.Run(v.name, func(b *testing.B) {
 					sp := base.WithBudget(base.BudgetPages)
 					if v.tune != nil {
@@ -120,7 +123,7 @@ func BenchmarkSearchScale(b *testing.B) {
 					var evals, rounds int64
 					b.ReportAllocs()
 					for i := 0; i < b.N; i++ {
-						res, err := strat.Search(ctx, sp)
+						res, err := v.strat.Search(ctx, sp)
 						if err != nil {
 							b.Fatal(err)
 						}

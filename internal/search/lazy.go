@@ -55,7 +55,7 @@ func (h *lazyHeap) Pop() any {
 // (E12 pins that it does not), and any burst beyond the top itself both
 // wastes speculative evaluations and surfaces grown marginals the eager
 // scan resolves differently. Parallel workers still serve the
-// standalone seeding pass and the eager mode's round batches.
+// standalone seeding pass.
 const lazyBurst = 1
 
 // lazy is the submodular lazy-evaluation form of the interaction-aware
@@ -69,6 +69,11 @@ const lazyBurst = 1
 // of the what-if calls. The real cost model can violate that locally
 // (index interactions), so lazy-vs-eager equality is additionally
 // pinned empirically by property tests on the shipped workloads.
+//
+// Without Space.InteractionAware the keys stay at their standalone
+// densities, so every top counts as fresh and the heap pops candidates
+// in density order; only the chosen configuration is evaluated each
+// round.
 //
 // Two situations fall back to first principles: a candidate that fails
 // the budget or redundancy filter is parked for the round and re-tried
@@ -133,7 +138,7 @@ func (g greedyHeuristic) lazy(ctx context.Context, sp *Space, tr *tracer,
 					parked = append(parked, top)
 					continue
 				}
-				if top.round == round {
+				if top.round == round || !sp.InteractionAware {
 					break // fresh: no stale key above it can compete
 				}
 				heap.Pop(&h)
@@ -178,7 +183,18 @@ func (g greedyHeuristic) lazy(ctx context.Context, sp *Space, tr *tracer,
 
 		config = append(config, selected.c)
 		selected.c.Covers().OrInto(covered)
-		curEval = selected.eval
+		picked := selected.eval
+		if !sp.InteractionAware {
+			if picked, err = tr.ev.Evaluate(ctx, config); err != nil {
+				if sp.degradable(err) {
+					// The newest member was never evaluated; degrade to
+					// the configuration the last evaluation priced.
+					return degrade(sp, tr, config[:len(config)-1], curEval, err), nil
+				}
+				return nil, err
+			}
+		}
+		curEval = picked
 		tr.round++
 		tr.emit(TraceEvent{Action: ActionAdd, Candidate: selected.c.Key(), Benefit: curEval.Net,
 			Pages: PagesOf(config), Covered: covered.Count(), Of: width})
@@ -199,7 +215,7 @@ func (g greedyHeuristic) lazy(ctx context.Context, sp *Space, tr *tracer,
 				if sp.degradable(err) {
 					// Reclaimed members were unused, so the selection's
 					// evaluation still prices this configuration.
-					return degrade(sp, tr, config, selected.eval, err), nil
+					return degrade(sp, tr, config, picked, err), nil
 				}
 				return nil, err
 			}

@@ -2,14 +2,15 @@ package search_test
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"repro/internal/search"
 )
 
-// lazyEagerPair runs greedy-heuristic over the space in both marginal
-// modes and returns (lazy, eager).
+// lazyEagerPair runs greedy-heuristic (the lazy heap) and the eager
+// oracle over the space and returns (lazy, eager).
 func lazyEagerPair(t *testing.T, sp *search.Space) (*search.Result, *search.Result) {
 	t.Helper()
 	strat, err := search.Lookup("greedy-heuristic")
@@ -17,15 +18,11 @@ func lazyEagerPair(t *testing.T, sp *search.Space) (*search.Result, *search.Resu
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	lazySp := sp.WithBudget(sp.BudgetPages)
-	lazySp.EagerGreedy = false
-	lazy, err := strat.Search(ctx, lazySp)
+	lazy, err := strat.Search(ctx, sp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eagerSp := sp.WithBudget(sp.BudgetPages)
-	eagerSp.EagerGreedy = true
-	eager, err := strat.Search(ctx, eagerSp)
+	eager, err := search.EagerGreedyOracle.Search(ctx, sp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,6 +76,54 @@ func TestLazyMatchesEagerOnWorkloads(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestLazyMatchesEagerStandalone covers the mode without interaction
+// awareness, where the heap keys stay at standalone densities: on the
+// real workloads and one synthetic space the lazy heap and the eager
+// oracle must agree on the configuration, the net, the what-if calls
+// and every trace step. Cache counters are left out of the trace
+// comparison because the paired runs share one engine.
+func TestLazyMatchesEagerStandalone(t *testing.T) {
+	ctx := context.Background()
+	check := func(t *testing.T, label string, sp *search.Space) {
+		t.Helper()
+		sp = sp.WithBudget(sp.BudgetPages)
+		sp.InteractionAware = false
+		lazy, eager := lazyEagerPair(t, sp)
+		requireSameChoice(t, label, lazy, eager)
+		if lazy.Stats.Evals != eager.Stats.Evals {
+			t.Errorf("%s: lazy spent %d evals, eager %d", label, lazy.Stats.Evals, eager.Stats.Evals)
+		}
+		if len(lazy.Trace) != len(eager.Trace) {
+			t.Fatalf("%s: lazy trace has %d steps, eager %d", label, len(lazy.Trace), len(eager.Trace))
+		}
+		for i := range lazy.Trace {
+			l, e := lazy.Trace[i], eager.Trace[i]
+			l.Cache, e.Cache = search.Counters{}, search.Counters{}
+			if l != e {
+				t.Errorf("%s: trace step %d differs:\n%+v\nvs\n%+v", label, i, l, e)
+			}
+		}
+	}
+	for name, w := range propertyWorkloads(t) {
+		t.Run(name, func(t *testing.T) {
+			prep, err := testAdvisor(t).Prepare(ctx, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			full, err := prep.RecommendWith(ctx, "greedy-heuristic", 0, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, frac := range []int64{1, 2, 4} {
+				check(t, fmt.Sprintf("%s 1/%d", name, frac), prep.Space().WithBudget(max(full.TotalPages/frac, 1)))
+			}
+		})
+	}
+	t.Run("synthetic", func(t *testing.T) {
+		check(t, "synthetic", search.NewSyntheticSpace(2000, 7))
+	})
 }
 
 // TestLazyMatchesEagerOnSyntheticPermuted runs both modes over the

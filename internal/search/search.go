@@ -160,13 +160,6 @@ type Space struct {
 	// deadline still compete and the best finished member wins; only
 	// when no member finished does the deadline surface as an error.
 	Anytime bool
-	// EagerGreedy forces greedy-heuristic's original eager marginal
-	// scan (re-evaluate the density-ordered eligible prefix every
-	// round) instead of the default lazy-greedy heap. The two paths
-	// choose identical configurations; eager exists as the reference
-	// baseline and for measuring the lazy path's what-if call
-	// reduction.
-	EagerGreedy bool
 	// TraceCap bounds the per-strategy trace event buffer: 0 means
 	// DefaultTraceCap, negative means unlimited. When the cap is hit
 	// the buffer ends with an ActionTruncated marker and
