@@ -373,6 +373,62 @@ func TestWaiterRetriesAfterOwnerCancellation(t *testing.T) {
 	}
 }
 
+// TestWaiterRetryCounters pins the counters of the owner-died retry: the
+// owner's cancelled evaluation is a miss that is not cached, and the
+// waiter's retry is a second miss it pays for itself — not a hit.
+func TestWaiterRetryCounters(t *testing.T) {
+	svc := &fakeService{block: make(chan struct{})}
+	e := NewEngine(svc, Options{Workers: 2})
+	qs := testQueries(1)
+	cfg := []*catalog.IndexDef{testDef("I1", "c", "/a")}
+
+	ownerCtx, cancelOwner := context.WithCancel(context.Background())
+	ownerDone := make(chan error, 1)
+	go func() {
+		_, err := e.EvaluateConfig(ownerCtx, qs, cfg)
+		ownerDone <- err
+	}()
+	for svc.calls.Load() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+
+	type result struct {
+		res *ConfigEval
+		err error
+	}
+	waiterDone := make(chan result, 1)
+	go func() {
+		res, err := e.EvaluateConfig(context.Background(), qs, cfg)
+		waiterDone <- result{res, err}
+	}()
+	time.Sleep(10 * time.Millisecond)
+
+	cancelOwner()
+	if err := <-ownerDone; !errors.Is(err, context.Canceled) {
+		t.Fatalf("owner err = %v, want context.Canceled", err)
+	}
+	close(svc.block)
+	var got result
+	select {
+	case got = <-waiterDone:
+	case <-time.After(2 * time.Second):
+		t.Fatal("waiter never completed")
+	}
+	if got.err != nil {
+		t.Fatalf("waiter err = %v", got.err)
+	}
+	if got.res.Atoms[0].Hit {
+		t.Error("waiter's retried atom reported as a cache hit")
+	}
+	st := e.Stats()
+	if st.Misses != 2 || st.Evaluations != 2 || st.Hits != 0 {
+		t.Errorf("misses=%d evaluations=%d hits=%d, want 2, 2, 0", st.Misses, st.Evaluations, st.Hits)
+	}
+	if n := e.Len(); n != 1 {
+		t.Errorf("len = %d, want 1 (only the waiter's value is cached)", n)
+	}
+}
+
 func TestErrorsAreNotCached(t *testing.T) {
 	svc := &fakeService{fail: true}
 	e := NewEngine(svc, Options{})
