@@ -113,9 +113,10 @@ func newShell(parallel int) *shell {
 	st := store.New()
 	cat := catalog.New(st)
 	opt := optimizer.New(cat)
-	// The shell's evaluate command does not hide real indexes (the DBA
+	// The shell's whatif command does not hide real indexes (the DBA
 	// wants the configuration on top of what exists), so VirtualOnly is
-	// off — unlike the advisor's engine.
+	// off — unlike the advisor's engine. evaluate asks the optimizer
+	// directly, with the same setting.
 	svc := &whatif.OptimizerService{Opt: opt}
 	return &shell{
 		st:  st,
@@ -360,7 +361,8 @@ func (s *shell) cmdEnumerate(text string) error {
 	return nil
 }
 
-// cmdEvaluate parses "<pattern>:<type>[,...] :: <query>".
+// cmdEvaluate parses "<pattern>:<type>[,...] :: <query>" and prints the
+// optimizer's EVALUATE INDEXES screen, plan included.
 func (s *shell) cmdEvaluate(rest string) error {
 	cfgStr, qStr, ok := strings.Cut(rest, "::")
 	if !ok {
@@ -390,11 +392,11 @@ func (s *shell) cmdEvaluate(rest string) error {
 		}
 		defs = append(defs, catalog.VirtualDef(fmt.Sprintf("V%d", i+1), q.Collection, p, ty, st))
 	}
-	ev, err := s.what.EvaluateQuery(context.Background(), q, defs)
+	screen, err := s.opt.ExplainEvaluate(q, defs, false)
 	if err != nil {
 		return err
 	}
-	fmt.Fprint(s.out, ev.Explain(q.Text, defs))
+	fmt.Fprint(s.out, screen)
 	return nil
 }
 

@@ -8,12 +8,16 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/catalog"
 	"repro/internal/datagen"
+	"repro/internal/optimizer"
+	"repro/internal/querylang"
 	"repro/internal/snapshot"
 	"repro/internal/store"
+	"repro/internal/whatif"
 )
 
 // xmarkStoreFixture is xmarkFixture keeping the store, so tests can
@@ -121,6 +125,93 @@ func TestPreparedSaveLoadParity(t *testing.T) {
 	}
 	if evals := b.CostEngine().Stats().Evaluations; evals != 0 {
 		t.Errorf("restored benefit matrix issued %d CostService calls, want 0 (seeded from snapshot)", evals)
+	}
+}
+
+// planRecorder is the advisor-mode optimizer service that also keeps,
+// per atom key, the plan rendering that snapshot atoms carried before
+// the what-if path stopped rendering plans.
+type planRecorder struct {
+	*whatif.OptimizerService
+	mu    sync.Mutex
+	plans map[string]string
+}
+
+func (r *planRecorder) EvaluateQuery(ctx context.Context, q *querylang.Query, config []*catalog.IndexDef) (whatif.QueryEval, error) {
+	res, err := r.Opt.EvaluateIndexes(q, config, r.VirtualOnly)
+	if err != nil {
+		return whatif.QueryEval{}, err
+	}
+	prefix := whatif.NewEngine(r.OptimizerService, whatif.Options{NoProjection: true}).
+		Bind([]*querylang.Query{q}).KeyPrefixes()[0]
+	r.mu.Lock()
+	r.plans[prefix+whatif.ConfigKey(config)] = res.Plan.Describe()
+	r.mu.Unlock()
+	return r.OptimizerService.EvaluateQuery(ctx, q, config)
+}
+
+// TestRestoreIgnoresV1PlanText checks that a fresh Save writes empty
+// plan text and that a snapshot whose atoms carry plan text, as older
+// builds wrote it, still restores to a byte-identical recommendation
+// with zero CostService calls.
+func TestRestoreIgnoresV1PlanText(t *testing.T) {
+	_, cat := xmarkStoreFixture(t, 120)
+	ctx := context.Background()
+	opt := optimizer.New(cat)
+	rec := &planRecorder{OptimizerService: whatif.NewOptimizerService(opt), plans: map[string]string{}}
+	a := NewWithService(cat, DefaultOptions(), rec, opt)
+	p1, err := a.Prepare(ctx, datagen.XMarkPaperWorkload())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r1, err := p1.RecommendWith(ctx, "greedy-heuristic", 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := renderRec(t, r1)
+
+	var fresh bytes.Buffer
+	if err := p1.Save(&fresh); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := snapshot.Decode(bytes.NewReader(fresh.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Atoms) == 0 {
+		t.Fatal("snapshot carries no atoms")
+	}
+	for i := range snap.Atoms {
+		at := &snap.Atoms[i]
+		if at.PlanDesc != "" {
+			t.Fatalf("fresh Save wrote plan text %q for atom %q", at.PlanDesc, at.Key)
+		}
+		plan, ok := rec.plans[at.Key]
+		if !ok {
+			t.Fatalf("no recorded plan for atom %q", at.Key)
+		}
+		at.PlanDesc = plan
+	}
+	var old bytes.Buffer
+	if err := snapshot.Encode(&old, snap); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("snapshot: %d bytes fresh, %d bytes with plan text", fresh.Len(), old.Len())
+
+	b := New(cat, DefaultOptions())
+	p2, err := b.LoadPrepared(ctx, bytes.NewReader(old.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r2, err := p2.RecommendWith(ctx, "greedy-heuristic", 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := renderRec(t, r2); got != want {
+		t.Errorf("recommendation restored from plan-text snapshot differs:\n--- original ---\n%s\n--- restored ---\n%s", want, got)
+	}
+	if evals := b.CostEngine().Stats().Evaluations; evals != 0 {
+		t.Errorf("restore and recommend issued %d CostService calls, want 0", evals)
 	}
 }
 

@@ -163,21 +163,15 @@ func (o *Optimizer) ExplainEvaluate(q *querylang.Query, config []*catalog.IndexD
 	if err != nil {
 		return "", err
 	}
-	return RenderEvaluation(q.Text, config, ev.CostNoIndexes, ev.Cost, ev.Benefit, ev.Plan.Describe()), nil
-}
-
-// RenderEvaluation formats the EVALUATE INDEXES screen from plain
-// values — the single rendering shared with the whatif service.
-func RenderEvaluation(queryText string, config []*catalog.IndexDef, costNoIdx, cost, benefit float64, planDesc string) string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "EXPLAIN MODE: EVALUATE INDEXES\nquery: %s\n", strings.TrimSpace(queryText))
+	fmt.Fprintf(&sb, "EXPLAIN MODE: EVALUATE INDEXES\nquery: %s\n", strings.TrimSpace(q.Text))
 	fmt.Fprintf(&sb, "configuration (%d indexes):\n", len(config))
 	for _, d := range config {
 		fmt.Fprintf(&sb, "  %s\n", d)
 	}
-	fmt.Fprintf(&sb, "cost without indexes: %10.2f\n", costNoIdx)
-	fmt.Fprintf(&sb, "cost with config:     %10.2f\n", cost)
-	fmt.Fprintf(&sb, "benefit:              %10.2f\n", benefit)
-	fmt.Fprintf(&sb, "plan: %s\n", planDesc)
-	return sb.String()
+	fmt.Fprintf(&sb, "cost without indexes: %10.2f\n", ev.CostNoIndexes)
+	fmt.Fprintf(&sb, "cost with config:     %10.2f\n", ev.Cost)
+	fmt.Fprintf(&sb, "benefit:              %10.2f\n", ev.Benefit)
+	fmt.Fprintf(&sb, "plan: %s\n", ev.Plan.Describe())
+	return sb.String(), nil
 }

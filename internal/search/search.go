@@ -160,12 +160,6 @@ type Space struct {
 	// deadline still compete and the best finished member wins; only
 	// when no member finished does the deadline surface as an error.
 	Anytime bool
-	// TraceCap bounds the per-strategy trace event buffer: 0 means
-	// DefaultTraceCap, negative means unlimited. When the cap is hit
-	// the buffer ends with an ActionTruncated marker and
-	// Stats.Truncated counts the dropped events; streaming Observers
-	// always receive the full stream.
-	TraceCap int
 	// RaceCostBound makes the race portfolio cost-bounded: members
 	// publish their best net benefit to a shared leader board and a
 	// member aborts once its remaining upper bound (current net plus

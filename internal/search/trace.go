@@ -37,8 +37,8 @@ const (
 	// (cost-bounded racing).
 	ActionAbort Action = "abort"
 	// ActionTruncated marks the point where the per-strategy trace
-	// buffer hit its cap (Space.TraceCap); it is the buffer's final
-	// event, and Stats.Truncated counts the events dropped after it.
+	// buffer hit DefaultTraceCap; it is the buffer's final event, and
+	// Stats.Truncated counts the events dropped after it.
 	// Streaming observers still receive every event.
 	ActionTruncated Action = "truncated"
 	// ActionDegraded records a search falling back to its best-so-far
@@ -156,7 +156,7 @@ type Stats struct {
 	// windows; for the race portfolio it is the sum over all members.
 	Evals int64 `json:"evals"`
 	// Truncated counts trace events dropped after the per-strategy
-	// buffer hit its cap (Space.TraceCap); 0 when the full trace fit.
+	// buffer hit DefaultTraceCap; 0 when the full trace fit.
 	Truncated int `json:"truncatedEvents,omitempty"`
 	// Aborted marks a portfolio member that stopped early under
 	// cost-bounded racing because its remaining upper bound could not
@@ -230,10 +230,12 @@ func (s Stats) String() string {
 	return sb.String()
 }
 
-// DefaultTraceCap is the per-strategy trace buffer cap used when
-// Space.TraceCap is 0: generous enough for every real workload while
-// keeping a 50k-candidate synthetic run from accumulating hundreds of
-// thousands of events.
+// DefaultTraceCap is the per-strategy trace buffer cap: generous
+// enough for every real workload while keeping a 50k-candidate
+// synthetic run from accumulating hundreds of thousands of events. A
+// capped buffer ends with an ActionTruncated marker and
+// Stats.Truncated counts the dropped events; streaming Observers
+// always receive the full stream.
 const DefaultTraceCap = 4096
 
 // tracer accumulates trace events and run stats for one search. It also
@@ -248,7 +250,6 @@ type tracer struct {
 	start     time.Time
 	base      Counters
 	round     int
-	cap       int
 	truncated int
 	aborted   bool
 	degraded  bool
@@ -257,15 +258,8 @@ type tracer struct {
 }
 
 func newTracer(strategy string, sp *Space) *tracer {
-	cap := sp.TraceCap
-	switch {
-	case cap == 0:
-		cap = DefaultTraceCap
-	case cap < 0:
-		cap = int(^uint(0) >> 1) // unlimited
-	}
 	return &tracer{strategy: strategy, sp: sp, ev: &countingEvaluator{inner: sp.Eval},
-		start: time.Now(), base: sp.counters(), cap: cap}
+		start: time.Now(), base: sp.counters()}
 }
 
 // emit stamps the round, strategy, cache deltas, and eval count, then
@@ -279,13 +273,13 @@ func (t *tracer) emit(e TraceEvent) {
 	e.Cache = t.sp.counters().Sub(t.base)
 	e.Evals = t.ev.calls.Load()
 	switch {
-	case len(t.events) < t.cap:
+	case len(t.events) < DefaultTraceCap:
 		t.events = append(t.events, e)
 	case t.truncated == 0:
 		t.truncated++
 		t.events = append(t.events, TraceEvent{Round: e.Round, Action: ActionTruncated,
 			Strategy: t.strategy, Cache: e.Cache, Evals: e.Evals,
-			Note: fmt.Sprintf("trace capped at %d events; stats.truncatedEvents counts the rest", t.cap)})
+			Note: fmt.Sprintf("trace capped at %d events; stats.truncatedEvents counts the rest", DefaultTraceCap)})
 	default:
 		t.truncated++
 	}

@@ -232,7 +232,8 @@ type Atom struct {
 	CostNoIndexes float64
 	Cost          float64
 	UsedIndexes   []string
-	PlanDesc      string
+	// PlanDesc is a v1 slot; written empty, ignored on restore.
+	PlanDesc string
 }
 
 // BenefitsData is the serialized standalone benefit matrix, rows

@@ -263,11 +263,6 @@ func (e *Engine) shard(key string) *cacheShard {
 	return e.shards[h.Sum32()&e.shardMask]
 }
 
-// EvaluateQuery costs one query under the configuration, uncached.
-func (e *Engine) EvaluateQuery(ctx context.Context, q *querylang.Query, config []*catalog.IndexDef) (QueryEval, error) {
-	return e.evalOne(ctx, q, filterConfig(config, q.Collection))
-}
-
 // atomPlan is the per-query half of an atom key, fixed at Bind time:
 // the query fingerprint prefix and its relevance predicate.
 type atomPlan struct {
@@ -399,14 +394,15 @@ type ownedAtom struct {
 // each worker holding one engine semaphore slot for its lifetime;
 // owned entries are published (completed values cached, failed ones
 // evicted so waiters retry instead of rejoining a dead entry) before
-// any join is waited on, so in-batch duplicates can never deadlock.
+// any join is waited on, so in-batch duplicates can never deadlock. A
+// join whose owner died on the owner's own context re-enters this path
+// for that one atom under the joiner's context.
 func (e *Engine) evaluateBatch(ctx context.Context, atoms []atomPlan, configs [][]*catalog.IndexDef) ([]*ConfigEval, error) {
 	out := make([]*ConfigEval, len(configs))
 	for i := range out {
 		out[i] = &ConfigEval{Queries: make([]QueryEval, len(atoms)), Atoms: make([]AtomInfo, len(atoms))}
 	}
 	type joinedAtom struct {
-		key     string
 		ent     *entry
 		qi, ci  int
 		svcCfg  []*catalog.IndexDef
@@ -437,7 +433,7 @@ func (e *Engine) evaluateBatch(ctx context.Context, atoms []atomPlan, configs []
 				// Cached or in flight (possibly owned by this very
 				// batch, a duplicate projected sub-config): wait after
 				// the owned work completes.
-				joins = append(joins, joinedAtom{key: key, ent: ent, qi: qi, ci: ci,
+				joins = append(joins, joinedAtom{ent: ent, qi: qi, ci: ci,
 					svcCfg: svcCfg, dropped: dropped})
 				continue
 			}
@@ -548,15 +544,16 @@ func (e *Engine) evaluateBatch(ctx context.Context, atoms []atomPlan, configs []
 				if err := ctx.Err(); err != nil {
 					return nil, err
 				}
-				// Owner died on its own context; re-evaluate with ours
-				// (the dead entry is already evicted).
+				// Owner died on its own context; re-enter with ours
+				// (the dead entry is already evicted), joining whoever
+				// re-claimed the atom meanwhile or claiming it anew.
 				if errors.Is(j.ent.err, context.Canceled) || errors.Is(j.ent.err, context.DeadlineExceeded) {
-					val, hit, err := e.evaluateAtom(ctx, j.key, atoms[j.qi].q, j.svcCfg, j.dropped)
+					re, err := e.evaluateBatch(ctx, atoms[j.qi:j.qi+1], configs[j.ci:j.ci+1])
 					if err != nil {
 						return nil, err
 					}
-					out[j.ci].Queries[j.qi] = val
-					out[j.ci].Atoms[j.qi].Hit = hit
+					out[j.ci].Queries[j.qi] = re[0].Queries[0]
+					out[j.ci].Atoms[j.qi].Hit = re[0].Atoms[0].Hit
 					continue
 				}
 				return nil, j.ent.err
@@ -575,77 +572,6 @@ func (e *Engine) evaluateBatch(ctx context.Context, atoms []atomPlan, configs []
 		}
 	}
 	return out, nil
-}
-
-// evaluateAtom is the single-atom singleflight path, used when a join
-// finds its owner died on the owner's own context: look the key up
-// again, joining any new in-flight evaluation, or claim and evaluate
-// it. The bool reports whether the value came from the cache.
-func (e *Engine) evaluateAtom(ctx context.Context, key string, q *querylang.Query, svcCfg []*catalog.IndexDef, dropped bool) (QueryEval, bool, error) {
-	sh := e.shard(key)
-	for {
-		sh.mu.Lock()
-		if ent, ok := sh.m[key]; ok {
-			sh.mu.Unlock()
-			select {
-			case <-ent.ready:
-				if ent.err != nil {
-					if err := ctx.Err(); err != nil {
-						return QueryEval{}, false, err
-					}
-					if errors.Is(ent.err, context.Canceled) || errors.Is(ent.err, context.DeadlineExceeded) {
-						continue
-					}
-					return QueryEval{}, false, ent.err
-				}
-				e.hits.Add(1)
-				e.relDefs.Add(int64(len(svcCfg)))
-				if dropped {
-					e.projHits.Add(1)
-				}
-				return ent.val, true, nil
-			case <-ctx.Done():
-				return QueryEval{}, false, ctx.Err()
-			}
-		}
-		ent := &entry{ready: make(chan struct{})}
-		sh.insert(key, ent, e.maxPerShard)
-		sh.mu.Unlock()
-		e.misses.Add(1)
-		e.relDefs.Add(int64(len(svcCfg)))
-
-		val, err := e.evalOne(ctx, q, svcCfg)
-		if err != nil {
-			// Failed evaluations are not cached. Evict before waking
-			// waiters so their retry cannot rejoin this dead entry.
-			sh.mu.Lock()
-			if sh.m[key] == ent {
-				sh.remove(key)
-			}
-			sh.mu.Unlock()
-			ent.err = err
-			close(ent.ready)
-			return QueryEval{}, false, err
-		}
-		ent.val = val
-		close(ent.ready)
-		return val, false, nil
-	}
-}
-
-// evalOne runs one CostService call under an engine semaphore slot.
-func (e *Engine) evalOne(ctx context.Context, q *querylang.Query, svcCfg []*catalog.IndexDef) (QueryEval, error) {
-	select {
-	case e.sem <- struct{}{}:
-	case <-ctx.Done():
-		return QueryEval{}, ctx.Err()
-	}
-	defer func() { <-e.sem }()
-	if err := ctx.Err(); err != nil {
-		return QueryEval{}, err
-	}
-	e.evals.Add(1)
-	return e.callService(ctx, q, svcCfg)
 }
 
 // filterConfig restricts the configuration to one collection's indexes
